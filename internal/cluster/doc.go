@@ -22,6 +22,33 @@
 // surfaces as a *store.CorruptError ("something is damaged, do not
 // retry"). The two are never conflated.
 //
+// # Replay response layout
+//
+// A replay is the one large message (a 10,000-event session answers
+// about 700 KiB), so its steps do not ride inside the JSON header. A
+// successful replay answers two frames:
+//
+//	<crc> {"spec":{...}}\n
+//	<crc> [null,{"kind":"progress","time":12.5,"work":3},...]\n
+//
+// The first is the ordinary response header. The second is the steps
+// payload: a JSON array with one element per recorded step, null for a
+// decision-point marker and the advisor.Event object for an event,
+// byte-identical to json.Marshal of the matching []*advisor.Event. A
+// replay that answers a domain error (no such session, tombstoned)
+// sends the header frame alone; every other operation answers exactly
+// one frame.
+//
+// Both ends use the session-history codec of internal/store: the
+// server writes each event with store.AppendEventJSON, and the client
+// reads the array on a fast path (store.CutEventJSON for each event)
+// that accepts only the canonical bytes the server writes. Anything
+// else goes to a strict encoding/json decode, and what that refuses —
+// like a missing, extra, truncated or checksum-failing frame — is a
+// *store.CorruptError. FuzzWireSteps pins the fast path to the strict
+// decode. Each frame carries its own CRC, and the whole body is still
+// bounded by the 32 MiB wire cap (ErrResponseTooLarge beyond it).
+//
 // The client retries only idempotent operations (replay, get, put,
 // fenced put, lease acquire/renew) on ErrUnavailable, with bounded
 // jittered backoff. Session-log appends are never retried: an append

@@ -166,7 +166,7 @@ func (r *RemoteStore) roundTrip(ctx context.Context, op string, req *wireRequest
 		return nil, fmt.Errorf("cluster: %s %s: %w: %w", op, r.base.Host, err, store.ErrUnavailable)
 	}
 	defer httpResp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(httpResp.Body, maxWireBytes+1))
+	body, err := readBody(httpResp)
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, fmt.Errorf("cluster: %s: %w", op, cerr)
@@ -183,14 +183,14 @@ func (r *RemoteStore) roundTrip(ctx context.Context, op string, req *wireRequest
 			return nil, fmt.Errorf("cluster: %s %s: %w (cap %d bytes)",
 				op, r.base.Host, ErrResponseTooLarge, maxWireBytes)
 		}
-		var resp wireResponse
-		if err := decodeWire(body, &resp); err != nil {
+		resp, err := decodeResponse(op, body)
+		if err != nil {
 			return nil, fmt.Errorf("cluster: %s response: %w", op, err)
 		}
 		if resp.Err != nil {
 			return nil, resp.Err.lift()
 		}
-		return &resp, nil
+		return resp, nil
 	case httpResp.StatusCode == http.StatusBadRequest:
 		// The server refused the request without executing it: a protocol
 		// mismatch, loud and permanent — never retried, never 503.
@@ -200,6 +200,19 @@ func (r *RemoteStore) roundTrip(ctx context.Context, op string, req *wireRequest
 		return nil, fmt.Errorf("cluster: %s %s: status %d: %w",
 			op, r.base.Host, httpResp.StatusCode, store.ErrUnavailable)
 	}
+}
+
+// readBody reads a response body, stopping one byte past the wire cap
+// so that an over-cap body shows as such. A body of announced length is
+// read into one buffer of that size: io.ReadAll would grow its buffer
+// step by step and copy a replay response several times over.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxWireBytes {
+		body := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, body)
+		return body, err
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxWireBytes+1))
 }
 
 // callIdempotent retries an idempotent operation on ErrUnavailable
@@ -267,11 +280,7 @@ func (r *RemoteStore) Replay(ctx context.Context, id string) (*store.SessionRepl
 	if resp.Spec == nil {
 		return nil, &store.CorruptError{Reason: "replay response without a spec"}
 	}
-	steps, err := fromWireSteps(resp.Steps)
-	if err != nil {
-		return nil, err
-	}
-	return &store.SessionReplay{Spec: resp.Spec, Steps: steps}, nil
+	return &store.SessionReplay{Spec: resp.Spec, Steps: resp.steps}, nil
 }
 
 // Put implements store.ResultStore.

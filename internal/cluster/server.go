@@ -174,12 +174,13 @@ func (sv *StoreServer) handleOp(w http.ResponseWriter, r *http.Request) {
 	sv.mu.Lock()
 	sv.rpcs[op]++
 	sv.mu.Unlock()
-	frame, err := encodeWire(&resp)
+	frame, err := encodeResponse(op, &resp)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
 	_, _ = w.Write(frame)
 }
 
@@ -223,7 +224,7 @@ func (sv *StoreServer) dispatch(ctx context.Context, op string, req *wireRequest
 		if err != nil {
 			return fail(err)
 		}
-		return wireResponse{Spec: rep.Spec, Steps: toWireSteps(rep.Steps)}, true
+		return wireResponse{Spec: rep.Spec, steps: rep.Steps}, true
 	case opPut:
 		if req.Key == "" {
 			return bad("put needs key")

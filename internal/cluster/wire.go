@@ -71,53 +71,156 @@ type wireRequest struct {
 }
 
 // wireResponse is the response payload. Err is set instead of the data
-// fields when the operation answered a domain error.
+// fields when the operation answered a domain error. A replay's steps
+// do not ride in this JSON header: they follow it in a frame of their
+// own (see encodeResponse).
 type wireResponse struct {
 	Err   *wireError        `json:"err,omitempty"`
 	Spec  *spec.SessionSpec `json:"spec,omitempty"`  // replay
-	Steps []wireStep        `json:"steps,omitempty"` // replay
 	Val   []byte            `json:"val,omitempty"`   // get
 	Found bool              `json:"found,omitempty"` // get
 	Lease *store.Lease      `json:"lease,omitempty"` // lease-acquire
 	Stats *store.Stats      `json:"stats,omitempty"` // stats
+
+	steps []advisor.ReplayStep // replay, in the steps frame
 }
 
-// wireStep mirrors advisor.ReplayStep, which has no JSON tags of its
-// own: either a decision-point marker or one event.
-type wireStep struct {
-	Advised bool           `json:"advised,omitempty"`
-	Event   *advisor.Event `json:"event,omitempty"`
+// encodeResponse frames one response: the JSON header frame, followed,
+// for a successful replay, by the steps frame.
+func encodeResponse(op string, resp *wireResponse) ([]byte, error) {
+	frame, err := encodeWire(resp)
+	if err != nil || op != opReplay || resp.Err != nil {
+		return frame, err
+	}
+	// A live session's steps take under 80 bytes each; a longer one only
+	// makes the buffer grow.
+	payload, err := appendWireSteps(make([]byte, 0, 80*len(resp.steps)+2), resp.steps)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: encode replay steps: %w", err)
+	}
+	return store.AppendFrame(append(make([]byte, 0, len(frame)+len(payload)+16), frame...), payload), nil
 }
 
-// toWireSteps lowers a replayed history onto the wire.
-func toWireSteps(steps []advisor.ReplayStep) []wireStep {
-	out := make([]wireStep, len(steps))
+// decodeResponse is encodeResponse's strict inverse: exactly one header
+// frame, plus exactly one steps frame when op is a replay the server
+// answered without an error. Anything else is a *store.CorruptError.
+func decodeResponse(op string, body []byte) (*wireResponse, error) {
+	head, tail := body, []byte(nil)
+	if op == opReplay {
+		if nl := bytes.IndexByte(body, '\n'); nl >= 0 {
+			head, tail = body[:nl+1], body[nl+1:]
+		}
+	}
+	var resp wireResponse
+	if err := decodeWire(head, &resp); err != nil {
+		return nil, err
+	}
+	if op != opReplay || resp.Err != nil {
+		if len(tail) > 0 {
+			return nil, &store.CorruptError{Offset: len(head), Reason: "trailing data after the response frame"}
+		}
+		return &resp, nil
+	}
+	payload, err := store.DecodeFrame(tail)
+	if err != nil {
+		return nil, err
+	}
+	if resp.steps, err = decodeWireSteps(payload); err != nil {
+		return nil, err
+	}
+	return &resp, nil
+}
+
+// appendWireSteps appends a replayed history's steps payload to dst: a
+// JSON array with one element per step — null for a decision-point
+// marker, the event's JSON object for an event. The bytes equal
+// json.Marshal's for the matching []*advisor.Event.
+func appendWireSteps(dst []byte, steps []advisor.ReplayStep) ([]byte, error) {
+	dst = append(dst, '[')
 	for i, st := range steps {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
 		if st.Advised {
-			out[i] = wireStep{Advised: true}
-		} else {
-			ev := st.Event
-			out[i] = wireStep{Event: &ev}
+			dst = append(dst, "null"...)
+			continue
+		}
+		var err error
+		if dst, err = store.AppendEventJSON(dst, st.Event); err != nil {
+			return nil, err
 		}
 	}
-	return out
+	return append(dst, ']'), nil
 }
 
-// fromWireSteps lifts wire steps back into replay steps. A step that
-// is neither a marker nor an event is a damaged or mismatched message.
-func fromWireSteps(steps []wireStep) ([]advisor.ReplayStep, error) {
-	out := make([]advisor.ReplayStep, len(steps))
-	for i, st := range steps {
+// decodeWireSteps decodes a steps payload. A payload in the canonical
+// shape appendWireSteps writes takes the fast path; anything else is
+// decoded strictly, and what the strict decode refuses is a
+// *store.CorruptError.
+func decodeWireSteps(payload []byte) ([]advisor.ReplayStep, error) {
+	if steps, ok := parseWireSteps(payload); ok {
+		return steps, nil
+	}
+	return decodeWireStepsStrict(payload)
+}
+
+// parseWireSteps is the fast path: canonical event objects (see
+// store.CutEventJSON) and nulls, comma-separated in brackets, no
+// whitespace. ok=false means the payload is not in that shape. When ok
+// is true, decodeWireStepsStrict decodes the same steps
+// (FuzzWireSteps pins this).
+func parseWireSteps(b []byte) (steps []advisor.ReplayStep, ok bool) {
+	if b, ok = bytes.CutPrefix(b, []byte("[")); !ok {
+		return nil, false
+	}
+	// A live session's steps average well over 48 bytes each, so this
+	// rarely grows, and it never reserves more memory than the payload
+	// takes whatever the payload holds.
+	steps = make([]advisor.ReplayStep, 0, len(b)/48)
+	if len(b) == 1 && b[0] == ']' {
+		return steps, true
+	}
+	for {
+		if rest, isNull := bytes.CutPrefix(b, []byte("null")); isNull {
+			steps = append(steps, advisor.ReplayStep{Advised: true})
+			b = rest
+		} else {
+			var ev advisor.Event
+			if ev, b, ok = store.CutEventJSON(b); !ok {
+				return nil, false
+			}
+			steps = append(steps, advisor.ReplayStep{Event: ev})
+		}
 		switch {
-		case st.Advised:
-			out[i] = advisor.ReplayStep{Advised: true}
-		case st.Event != nil:
-			out[i] = advisor.ReplayStep{Event: *st.Event}
-		default:
-			return nil, &store.CorruptError{Reason: fmt.Sprintf("wire step %d is neither advised nor an event", i)}
+		case len(b) == 1 && b[0] == ']':
+			return steps, true
+		case len(b) == 0 || b[0] != ',':
+			return nil, false
+		}
+		b = b[1:]
+	}
+}
+
+// decodeWireStepsStrict decodes a steps payload with the spec layer's
+// strict JSON decoding. A missing array (null) is refused: a replay
+// always carries its steps, even when there are none.
+func decodeWireStepsStrict(payload []byte) ([]advisor.ReplayStep, error) {
+	var evs []*advisor.Event
+	if err := spec.DecodeStrict(bytes.NewReader(payload), &evs); err != nil {
+		return nil, &store.CorruptError{Reason: fmt.Sprintf("wire steps: %v", err)}
+	}
+	if evs == nil {
+		return nil, &store.CorruptError{Reason: "wire steps: not an array"}
+	}
+	steps := make([]advisor.ReplayStep, len(evs))
+	for i, ev := range evs {
+		if ev == nil {
+			steps[i] = advisor.ReplayStep{Advised: true}
+		} else {
+			steps[i] = advisor.ReplayStep{Event: *ev}
 		}
 	}
-	return out, nil
+	return steps, nil
 }
 
 // Wire error kinds: every store sentinel the service classifies on,

@@ -58,6 +58,37 @@
 //     JSON) is real corruption and surfaces as a *CorruptError; nothing
 //     is silently skipped.
 //
+// # Canonical fast path
+//
+// A long session's log is almost all event records and advised
+// markers, and cold recovery (Replay) decodes every one of them. Those
+// two record shapes have a hand-written codec (codec.go):
+//
+//   - The encoder writes the bytes json.Marshal writes for the record,
+//     and refuses what json.Marshal refuses (a NaN or infinite time or
+//     work) with json.Marshal's error. On-disk logs are byte-identical
+//     to the encoding/json ones, so logs from either era replay.
+//   - The decoder accepts only the canonical bytes:
+//     {"kind":"advised"} and
+//     {"kind":"event","event":{"kind":K,"time":T[,"work":W][,"unit":U]}},
+//     fields in that order and no whitespace, K printable ASCII that
+//     encoding/json neither escapes nor HTML-escapes, T and W numbers in
+//     the JSON grammar and U a JSON integer that fits an int.
+//
+// Every other payload — created and tombstone records, and any event
+// or advised record that is valid JSON in another shape (reordered or
+// upper-case keys, whitespace, an escaped string, an out-of-range
+// number) — goes to the strict encoding/json decoder, unchanged. The
+// strict decoder is the fallback, not a mode: there is no option to
+// pick one or the other.
+//
+// The equivalence contract, pinned by FuzzSessionRecordCodec: when the
+// fast decoder accepts a payload, the strict decoder accepts it as the
+// same step, floats equal bit for bit; replaying any log through the
+// fast path answers what the strict decoder alone answers — the same
+// history, or the same error with the same *CorruptError offset and
+// reason.
+//
 // Segment files rotate at Options.SegmentBytes; only the last (active)
 // segment may carry a torn tail — a torn or corrupt sealed segment is an
 // error at Open.

@@ -302,6 +302,11 @@ func (st *FileStore) Replay(ctx context.Context, id string) (*SessionReplay, err
 	if st.closed {
 		return nil, ErrClosed
 	}
+	// A tombstone is terminal, so the cached state answers without
+	// re-reading the log (as Tombstone does).
+	if s, ok := st.sessions[id]; ok && s.tombstoned {
+		return nil, fmt.Errorf("store: replay session %s: %w", id, ErrTombstoned)
+	}
 	rep, tombstoned, err := st.loadSessionLocked(id)
 	if err != nil {
 		return nil, err

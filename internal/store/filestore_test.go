@@ -237,3 +237,35 @@ func appendRaw(t *testing.T, path string, b []byte) {
 		t.Fatal(err)
 	}
 }
+
+// TestFileStoreReplayTombstonedFromCache: once this process has seen a
+// session's tombstone, Replay answers ErrTombstoned from that state —
+// it does not re-read the log, so a log removed or damaged after the
+// tombstone does not change the answer (and a deleted session's GET
+// costs no replay under the store's lock).
+func TestFileStoreReplayTombstonedFromCache(t *testing.T) {
+	ctx := context.Background()
+	for _, damage := range []struct {
+		name string
+		do   func(path string) error
+	}{
+		{"removed", os.Remove},
+		{"garbled", func(path string) error { return os.WriteFile(path, []byte("garbage\n"), 0o644) }},
+	} {
+		t.Run(damage.name, func(t *testing.T) {
+			st := openFile(t, t.TempDir(), Options{})
+			if err := st.AppendCreated(ctx, "s1", testSessionSpec()); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Tombstone(ctx, "s1"); err != nil {
+				t.Fatal(err)
+			}
+			if err := damage.do(st.sessionPath("s1")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := st.Replay(ctx, "s1"); !errors.Is(err, ErrTombstoned) {
+				t.Fatalf("replay of a tombstoned session: %v, want ErrTombstoned", err)
+			}
+		})
+	}
+}

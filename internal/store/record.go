@@ -136,6 +136,7 @@ type frame struct {
 // truncates away — and is 0 for a cleanly terminated log. Any defect in
 // a terminated line is a *CorruptError; nothing is skipped.
 func decodeFrames(data []byte) (frames []frame, torn int, err error) {
+	frames = make([]frame, 0, bytes.Count(data, []byte{'\n'}))
 	off := 0
 	for off < len(data) {
 		nl := bytes.IndexByte(data[off:], '\n')
@@ -171,7 +172,7 @@ func decodeFrames(data []byte) (frames []frame, torn int, err error) {
 
 // encodeSessionRecord marshals a session record into its framed line.
 func encodeSessionRecord(rec sessionRecord) ([]byte, error) {
-	payload, err := json.Marshal(rec)
+	payload, err := appendSessionRecord(nil, rec)
 	if err != nil {
 		return nil, fmt.Errorf("store: encode session record: %w", err)
 	}
@@ -202,13 +203,21 @@ func decodeSessionRecord(payload []byte, off int) (sessionRecord, error) {
 
 // replayRecords folds a session log's frames into a SessionReplay,
 // enforcing the log grammar: exactly one leading created record, then
-// events and advised markers, with a tombstone terminal.
+// events and advised markers, with a tombstone terminal. Records after
+// the first take the canonical fast path when they are in its shape;
+// every other record is decoded by decodeSessionRecord.
 func replayRecords(frames []frame) (*SessionReplay, error) {
 	if len(frames) == 0 {
 		return nil, ErrNoSession
 	}
-	rep := &SessionReplay{}
+	rep := &SessionReplay{Steps: make([]advisor.ReplayStep, 0, len(frames)-1)}
 	for i, fr := range frames {
+		if i > 0 {
+			if step, ok := parseCanonicalStep(fr.payload); ok {
+				rep.Steps = append(rep.Steps, step)
+				continue
+			}
+		}
 		rec, err := decodeSessionRecord(fr.payload, fr.off)
 		if err != nil {
 			return nil, err
@@ -239,6 +248,9 @@ func replayRecords(frames []frame) (*SessionReplay, error) {
 // framing so a message damaged in flight fails its checksum exactly
 // like a damaged log record.
 func EncodeFrame(payload []byte) []byte { return appendFrame(nil, payload) }
+
+// AppendFrame appends payload's frame (see EncodeFrame) to dst.
+func AppendFrame(dst, payload []byte) []byte { return appendFrame(dst, payload) }
 
 // DecodeFrame decodes exactly one cleanly terminated frame, the
 // inverse of EncodeFrame. A truncated, trailing-garbage or
