@@ -203,8 +203,10 @@ session-smoke:
 # byte-identically (modulo the per-replica expiry timestamp) by
 # replaying the shared log, count the rehydration in
 # chkpt_sessions_recovered_total, and resume the sweep job with zero
-# cells re-run. The forwarder must keep serving through the dead
-# backend. Binaries are real (not `go run`) so signals reach the child;
+# cells re-run. After the session phase chkpt-store's own /metrics must
+# show a populated chkpt_store_fsync_seconds histogram: under -store
+# every fsync happens there. The forwarder must keep serving through the
+# dead backend. Binaries are real (not `go run`) so signals reach the child;
 # CI overrides CHKPT_STORE/CHKPT_SERVE/CHKPT_LB with prebuilt paths.
 CHKPT_STORE ?= /tmp/chkpt-store-smoke
 CHKPT_LB    ?= /tmp/chkpt-lb-smoke
@@ -238,6 +240,8 @@ cluster-smoke:
 	echo "$$dec" | grep -q '"chunk"'; echo "$$dec" | grep -q '"failures": 1'; \
 	geta=$$(curl -sf http://$(SERVE_A)/v1/sessions/cluster-smoke-1 | grep -v '"expiresAt"'); \
 	test -n "$$geta"; echo "session created on A"; \
+	curl -sf http://$(STORE_ADDR)/metrics | grep -q '^chkpt_store_fsync_seconds_count [1-9]'; \
+	echo "chkpt-store exports its fsync histogram (checkpoint cost C)"; \
 	job=$$(curl -sf -X POST --data-binary '{"name":"cluster-sweep","scenario":{"name":"cell","platform":{"preset":"oneproc","mtbf":86400},"p":1,"dist":{"family":"exponential"},"horizon":63072000,"traces":2,"seed":7},"grid":{"mtbf":[43200,86400]},"candidates":{"policies":[{"kind":"young"}]}}' http://$(SERVE_A)/v1/sweeps); \
 	test -n "$$job"; \
 	for i in $$(seq 1 50); do \

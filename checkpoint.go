@@ -431,14 +431,14 @@ func DefaultCandidateConfig() CandidateConfig { return harness.DefaultCandidateC
 
 // StandardCandidates builds the paper's policy set for a scenario.
 func StandardCandidates(ctx context.Context, sc Scenario, cfg CandidateConfig) ([]Candidate, error) {
-	return harness.StandardCandidates(ctx, sc, cfg)
+	return harness.StandardCandidates(ctx, nil, sc, cfg)
 }
 
 // Evaluate runs every candidate over the scenario's traces with the §4.1
 // degradation-from-best methodology. Cancelling the context aborts the
 // evaluation promptly with ctx.Err().
 func Evaluate(ctx context.Context, sc Scenario, cands []Candidate) (*Evaluation, error) {
-	return harness.Evaluate(ctx, sc, cands)
+	return harness.Evaluate(ctx, nil, sc, cands)
 }
 
 // Experiment engine: the bounded worker pool and shared artifact cache
@@ -579,20 +579,20 @@ func CanonicalSpecHash(es *ExperimentSpec) (string, error) { return spec.Canonic
 // concurrently on its worker pool and shared artifacts come from its
 // cache. The worker count never changes the result.
 func EvaluateWith(ctx context.Context, eng *Engine, sc Scenario, cands []Candidate) (*Evaluation, error) {
-	return harness.EvaluateWith(ctx, eng, sc, cands)
+	return harness.Evaluate(ctx, eng, sc, cands)
 }
 
 // StandardCandidatesWith builds the paper's policy set through the
 // engine's cache, sharing DPMakespan tables and DPNextFailure planners
 // across scenarios with the same (law, job geometry, quanta) key.
 func StandardCandidatesWith(ctx context.Context, eng *Engine, sc Scenario, cfg CandidateConfig) ([]Candidate, error) {
-	return harness.StandardCandidatesWith(ctx, eng, sc, cfg)
+	return harness.StandardCandidates(ctx, eng, sc, cfg)
 }
 
 // SearchPeriodLB finds the best fixed checkpointing period for the
 // scenario by the §4.1 numerical search, on the engine's worker pool.
 func SearchPeriodLB(ctx context.Context, eng *Engine, sc Scenario, cfg PeriodLBConfig) (float64, error) {
-	return harness.SearchPeriodLBWith(ctx, eng, sc, cfg)
+	return harness.SearchPeriodLB(ctx, eng, sc, cfg)
 }
 
 // DefaultPeriodLBConfig returns the laptop-scale period-search grid.

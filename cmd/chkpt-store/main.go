@@ -5,10 +5,11 @@
 // The protocol is framed compact JSON under POST /store/v1/{op} — the
 // same CRC-32C frame discipline the store's own files use — plus the
 // operational surface every server in this repo carries: GET /healthz,
-// GET /metrics (per-op RPC counters and the store's append/replay/
-// lease counters) and GET /v1/debug/traces (spans tagged with the
-// calling replica's X-Request-ID, which is what makes one logical
-// request traceable across both processes).
+// GET /metrics (per-op RPC counters, the store's append/replay/lease
+// counters and the fsync and replay histograms — the serving tier's
+// checkpoint cost C and recovery cost R) and GET /v1/debug/traces
+// (spans tagged with the calling replica's X-Request-ID, which is what
+// makes one logical request traceable across both processes).
 //
 // Examples:
 //

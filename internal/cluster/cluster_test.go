@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -34,20 +35,26 @@ func testSessionSpec() *spec.SessionSpec {
 	}
 }
 
-// remoteFixture is a store server over an in-memory backend plus a
-// client mounted on it.
+// remoteFixture is a store server over a backend plus a client mounted
+// on it.
 type remoteFixture struct {
-	backend storetest.LeasedStore
+	backend store.Store
 	server  *cluster.StoreServer
 	http    *httptest.Server
 	remote  *cluster.RemoteStore
 	clock   *obs.FakeClock
 }
 
+// newRemoteFixture serves an in-memory backend.
 func newRemoteFixture(t *testing.T, cfg cluster.RemoteConfig) *remoteFixture {
 	t.Helper()
 	clock := storetest.NewClock()
-	be := store.NewMemWithClock(clock)
+	return newRemoteFixtureOver(t, store.NewMemWithClock(clock), clock, cfg)
+}
+
+// newRemoteFixtureOver serves be, whose leases expire on clock.
+func newRemoteFixtureOver(t *testing.T, be store.Store, clock *obs.FakeClock, cfg cluster.RemoteConfig) *remoteFixture {
+	t.Helper()
 	sv := cluster.NewStoreServer(cluster.ServerConfig{Backend: be})
 	hs := httptest.NewServer(sv.Handler())
 	t.Cleanup(func() { hs.Close(); be.Close() })
@@ -339,15 +346,27 @@ func TestStoreServerBadRequest(t *testing.T) {
 }
 
 // TestStoreServerMetricsAndHealth: the operator surface renders the
-// lease counters and the probe answers.
+// lease counters and the checkpoint cost C of the appends it fsynced,
+// and the probe answers.
 func TestStoreServerMetricsAndHealth(t *testing.T) {
 	ctx := context.Background()
-	fx := newRemoteFixture(t, cluster.RemoteConfig{})
+	clock := storetest.NewClock()
+	be, err := store.Open(t.TempDir(), store.Options{Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx := newRemoteFixtureOver(t, be, clock, cluster.RemoteConfig{})
 	l, err := fx.remote.AcquireLease(ctx, "cell", "w", time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := fx.remote.PutLeased(ctx, l, "cell", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fx.remote.AppendCreated(ctx, "s1", testSessionSpec()); err != nil {
+		t.Fatal(err)
+	}
+	if err := fx.remote.AppendEvent(ctx, "s1", advisor.Event{Kind: advisor.EventFailure, Time: 100, Unit: 0}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -357,7 +376,17 @@ func TestStoreServerMetricsAndHealth(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != obs.ContentType {
+		t.Errorf("metrics content type = %q, want %q", ct, obs.ContentType)
+	}
 	text := string(body)
+	var fsyncs float64
+	if _, count, ok := strings.Cut(text, "\nchkpt_store_fsync_seconds_count "); ok {
+		_, _ = fmt.Sscan(count, &fsyncs)
+	}
+	if fsyncs < 1 {
+		t.Errorf("chkpt_store_fsync_seconds_count = %v, want >= 1:\n%s", fsyncs, text)
+	}
 	for _, want := range []string{
 		`chkpt_store_server_rpcs_total{op="lease-acquire"} 1`,
 		`chkpt_store_server_rpcs_total{op="put-leased"} 1`,

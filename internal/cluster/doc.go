@@ -5,6 +5,9 @@
 // a round-robin forwarder so N stateless chkpt-serve replicas can sit
 // behind one address.
 //
+// A StoreServer serves a Backend, an alias of store.Store: every store
+// carries the lease face, so the server needs nothing beyond it.
+//
 // # Wire protocol
 //
 // Every operation is one POST to /store/v1/{op} whose request and

@@ -51,12 +51,12 @@ type RemoteConfig struct {
 	Backoff time.Duration
 }
 
-// RemoteStore implements store.Store + store.LeaseStore against a
-// store server, so the service mounts a shared backend exactly where
-// it would mount a FileStore. Transport failures surface as
-// store.ErrUnavailable (the service answers 503 — retry later);
-// checksum failures as *store.CorruptError (do not retry); domain
-// answers unwrap to the same sentinels a local backend returns.
+// RemoteStore implements store.Store against a store server, so the
+// service mounts a shared backend exactly where it would mount a
+// FileStore. Transport failures surface as store.ErrUnavailable (the
+// service answers 503 — retry later); checksum failures as
+// *store.CorruptError (do not retry); domain answers unwrap to the
+// same sentinels a local backend returns.
 //
 // Only idempotent operations are retried: replay, get, put, fenced
 // put, lease acquire and renew — the lease ones are retry-safe because
@@ -298,7 +298,7 @@ func (r *RemoteStore) Get(ctx context.Context, key string) ([]byte, bool, error)
 	return resp.Val, resp.Found, nil
 }
 
-// AcquireLease implements store.LeaseStore. Retried: acquire is
+// AcquireLease implements store.Store. Retried: acquire is
 // owner-idempotent, so a delivered-but-unacknowledged attempt answers
 // the same token on retry.
 func (r *RemoteStore) AcquireLease(ctx context.Context, key, owner string, ttl time.Duration) (store.Lease, error) {
@@ -313,20 +313,20 @@ func (r *RemoteStore) AcquireLease(ctx context.Context, key, owner string, ttl t
 	return *resp.Lease, nil
 }
 
-// RenewLease implements store.LeaseStore. Retried: carries the token.
+// RenewLease implements store.Store. Retried: carries the token.
 func (r *RemoteStore) RenewLease(ctx context.Context, l store.Lease, ttl time.Duration) error {
 	_, err := r.callIdempotent(ctx, opLeaseRenew, &wireRequest{Lease: &l, TTLMS: ttl.Milliseconds()})
 	return err
 }
 
-// ReleaseLease implements store.LeaseStore. Single attempt: a failed
+// ReleaseLease implements store.Store. Single attempt: a failed
 // release is moot — the ttl reclaims the key anyway.
 func (r *RemoteStore) ReleaseLease(ctx context.Context, l store.Lease) error {
 	_, err := r.call(ctx, opLeaseRelease, &wireRequest{Lease: &l})
 	return err
 }
 
-// PutLeased implements store.LeaseStore. Retried: the fencing token
+// PutLeased implements store.Store. Retried: the fencing token
 // makes a duplicate write of the same bytes under the same token
 // harmless, and a reclaimed token answers ErrLeaseStale.
 func (r *RemoteStore) PutLeased(ctx context.Context, l store.Lease, key string, val []byte) error {

@@ -7,22 +7,17 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/store"
 )
 
-// Backend is what a store server serves: the full store plus its lease
-// face. Both local backends (MemStore, FileStore) satisfy it.
-type Backend interface {
-	store.Store
-	store.LeaseStore
-}
+// Backend is what a store server serves: a full store.Store, such as a
+// MemStore or a FileStore. ServerConfig and backend decorators name it.
+type Backend = store.Store
 
 // ServerConfig configures a StoreServer.
 type ServerConfig struct {
@@ -43,7 +38,7 @@ type ServerConfig struct {
 
 // StoreServer exposes a Backend over the wire protocol, with the same
 // observability surface the API server has: X-Request-ID adoption, an
-// own span ring at /v1/debug/traces, counters at /metrics and a
+// own span ring at /v1/debug/traces, metrics at /metrics and a
 // /healthz probe. Backend spans (store.append, store.fsync,
 // store.lease, ...) started under a request context land in this
 // server's tracer carrying the client's request id — that is what
@@ -55,9 +50,7 @@ type StoreServer struct {
 	tracer  *obs.Tracer
 	version string
 	handler http.Handler
-
-	mu   sync.Mutex
-	rpcs map[string]uint64 // per-op served count
+	rpcs    *obs.CounterVec // chkpt_store_server_rpcs_total{op}
 }
 
 // NewStoreServer builds the server around a backend.
@@ -73,21 +66,26 @@ func NewStoreServer(cfg ServerConfig) *StoreServer {
 	if ids == nil {
 		ids = obs.NewRandomIDSource()
 	}
+	reg := obs.NewRegistry()
+	rpcs := reg.CounterVec("chkpt_store_server_rpcs_total", "Wire operations served, by op.", "op")
+	for _, op := range wireOps {
+		rpcs.With(op)
+	}
+	// The backend's fsync and replay spans land in this tracer, so this
+	// process exports the checkpoint cost C and the recovery cost R.
+	observeSpan := store.RegisterMetrics(reg, cfg.Backend.Stats)
 	sv := &StoreServer{
 		be:      cfg.Backend,
 		log:     logger,
 		ids:     ids,
-		tracer:  obs.NewTracer(obs.TracerConfig{Clock: cfg.Clock, Capacity: cfg.TraceCapacity}),
+		tracer:  obs.NewTracer(obs.TracerConfig{Clock: cfg.Clock, Capacity: cfg.TraceCapacity, OnEnd: observeSpan}),
 		version: cfg.Version,
-		rpcs:    make(map[string]uint64, len(wireOps)),
-	}
-	for _, op := range wireOps {
-		sv.rpcs[op] = 0
+		rpcs:    rpcs,
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+wirePathPrefix+"{op}", sv.handleOp)
 	mux.HandleFunc("GET /healthz", sv.handleHealthz)
-	mux.HandleFunc("GET /metrics", sv.handleMetrics)
+	mux.Handle("GET /metrics", reg)
 	mux.HandleFunc("GET /v1/debug/traces", sv.handleTraces)
 	sv.handler = sv.instrument(mux)
 	return sv
@@ -171,9 +169,7 @@ func (sv *StoreServer) handleOp(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad %s request: %s", op, resp.Err.Msg), http.StatusBadRequest)
 		return
 	}
-	sv.mu.Lock()
-	sv.rpcs[op]++
-	sv.mu.Unlock()
+	sv.rpcs.With(op).Inc()
 	frame, err := encodeResponse(op, &resp)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -275,42 +271,6 @@ func (sv *StoreServer) dispatch(ctx context.Context, op string, req *wireRequest
 func (sv *StoreServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]string{"status": "ok", "version": sv.version})
-}
-
-// handleMetrics renders the exposition text: per-op served counts plus
-// the backend's store and lease counters.
-func (sv *StoreServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	sv.mu.Lock()
-	rpcs := make(map[string]uint64, len(sv.rpcs))
-	for op, n := range sv.rpcs {
-		rpcs[op] = n
-	}
-	sv.mu.Unlock()
-	st := sv.be.Stats()
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprintf(w, "# HELP chkpt_store_server_rpcs_total Wire operations served, by op.\n")
-	fmt.Fprintf(w, "# TYPE chkpt_store_server_rpcs_total counter\n")
-	ops := make([]string, 0, len(rpcs))
-	for op := range rpcs {
-		ops = append(ops, op)
-	}
-	sort.Strings(ops)
-	for _, op := range ops {
-		fmt.Fprintf(w, "chkpt_store_server_rpcs_total{op=%q} %d\n", op, rpcs[op])
-	}
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("chkpt_store_appends_total", "Session-log records durably appended.", st.Appends)
-	counter("chkpt_store_replays_total", "Session logs replayed.", st.Replays)
-	counter("chkpt_store_puts_total", "Result-store writes.", st.Puts)
-	counter("chkpt_store_gets_total", "Result-store lookups.", st.Gets)
-	counter("chkpt_store_lease_acquired_total", "Leases granted (reclaims and holder re-acquires included).", st.LeaseAcquired)
-	counter("chkpt_store_lease_renewed_total", "Lease renewals.", st.LeaseRenewed)
-	counter("chkpt_store_lease_released_total", "Leases released early.", st.LeaseReleased)
-	counter("chkpt_store_lease_reclaimed_total", "Expired leases taken over by a new owner.", st.LeaseReclaimed)
-	counter("chkpt_store_lease_stale_total", "Operations rejected by the fencing token.", st.LeaseStale)
 }
 
 // tracesResponse mirrors the API server's /v1/debug/traces shape.

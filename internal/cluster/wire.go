@@ -20,7 +20,7 @@ const wirePathPrefix = "/store/v1/"
 // for framing and replay responses.
 const maxWireBytes = 32 << 20
 
-// Wire operations, one per store.Store + store.LeaseStore method.
+// Wire operations, one per store.Store method.
 const (
 	opCreated      = "created"
 	opEvent        = "event"

@@ -49,7 +49,7 @@ func runPeriodSweepSingleProc(ctx context.Context, w io.Writer, p Params, weibul
 		cfg := harness.DefaultCandidateConfig()
 		cfg.DPNextFailureQuanta = p.quantaOr(60, 150)
 		cfg.DPMakespanQuanta = p.quantaOr(600, 1200)
-		points, ev, err := harness.PeriodVariationWith(ctx, p.engine(), sc, cfg, factors)
+		points, ev, err := harness.PeriodVariation(ctx, p.engine(), sc, cfg, factors)
 		if err != nil {
 			return err
 		}
@@ -127,11 +127,11 @@ func runAppendixMatrix(ctx context.Context, w io.Writer, p Params) error {
 				cfg := harness.DefaultCandidateConfig()
 				cfg.DPNextFailureQuanta = p.quantaOr(80, 200)
 				cfg.IncludeLiu = false
-				cands, err := harness.StandardCandidatesWith(ctx, p.engine(), sc, cfg)
+				cands, err := harness.StandardCandidates(ctx, p.engine(), sc, cfg)
 				if err != nil {
 					return err
 				}
-				ev, err := harness.EvaluateWith(ctx, p.engine(), sc, cands)
+				ev, err := harness.Evaluate(ctx, p.engine(), sc, cands)
 				if err != nil {
 					return err
 				}

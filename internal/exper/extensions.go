@@ -268,7 +268,7 @@ func runDPNFAblation(ctx context.Context, w io.Writer, p Params) error {
 			New:  func() (sim.Policy, error) { return mk(), nil },
 		})
 	}
-	ev, err := harness.EvaluateWith(ctx, p.engine(), sc, cands)
+	ev, err := harness.Evaluate(ctx, p.engine(), sc, cands)
 	if err != nil {
 		return err
 	}

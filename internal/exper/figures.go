@@ -287,7 +287,7 @@ func runWorkModelFigure(ctx context.Context, w io.Writer, p Params, f workModelF
 				case "DPNextFailure":
 					cfg.DPNextFailureQuanta = p.quantaOr(100, 200)
 				}
-				cands, err := harness.StandardCandidatesWith(ctx, p.engine(), sc, cfg)
+				cands, err := harness.StandardCandidates(ctx, p.engine(), sc, cfg)
 				if err != nil {
 					return err
 				}
@@ -301,7 +301,7 @@ func runWorkModelFigure(ctx context.Context, w io.Writer, p Params, f workModelF
 				if len(kept) == 0 {
 					return fmt.Errorf("exper: policy %s unavailable for %s", f.policyName, sc.Name)
 				}
-				ev, err := harness.EvaluateWith(ctx, p.engine(), sc, kept)
+				ev, err := harness.Evaluate(ctx, p.engine(), sc, kept)
 				if err != nil {
 					return err
 				}
@@ -341,17 +341,17 @@ func degradationSeriesX(ctx context.Context, scs []harness.Scenario, xs []float6
 	for i, sc := range scs {
 		cfg := cfgFor(sc)
 		if withPeriodLB {
-			period, err := harness.SearchPeriodLBWith(ctx, p.engine(), sc, periodLBConfig(p))
+			period, err := harness.SearchPeriodLB(ctx, p.engine(), sc, periodLBConfig(p))
 			if err != nil {
 				return nil, err
 			}
 			cfg.PeriodLBPeriod = period
 		}
-		cands, err := harness.StandardCandidatesWith(ctx, p.engine(), sc, cfg)
+		cands, err := harness.StandardCandidates(ctx, p.engine(), sc, cfg)
 		if err != nil {
 			return nil, err
 		}
-		ev, err := harness.EvaluateWith(ctx, p.engine(), sc, cands)
+		ev, err := harness.Evaluate(ctx, p.engine(), sc, cands)
 		if err != nil {
 			return nil, err
 		}

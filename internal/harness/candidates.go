@@ -54,17 +54,12 @@ func DefaultCandidateConfig() CandidateConfig {
 	}
 }
 
-// StandardCandidates builds the paper's policy set for a scenario with the
-// default engine.
-func StandardCandidates(ctx context.Context, sc Scenario, cfg CandidateConfig) ([]Candidate, error) {
-	return StandardCandidatesWith(ctx, engine.Default(), sc, cfg)
-}
-
-// StandardCandidatesWith builds the paper's policy set for a scenario. The
+// StandardCandidates builds the paper's policy set for a scenario. The
 // expensive shared planning structures — the DPMakespan table and the
 // DPNextFailure planner — come from the engine's cache, so scenarios (or
-// repeated runs) sharing a (law, job geometry, quanta) key build them once.
-func StandardCandidatesWith(ctx context.Context, eng *engine.Engine, sc Scenario, cfg CandidateConfig) ([]Candidate, error) {
+// repeated runs) sharing a (law, job geometry, quanta) key build them
+// once. A nil engine means engine.Default().
+func StandardCandidates(ctx context.Context, eng *engine.Engine, sc Scenario, cfg CandidateConfig) ([]Candidate, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

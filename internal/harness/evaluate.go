@@ -118,13 +118,6 @@ func (ev *Evaluation) Rows() iter.Seq2[int, Row] {
 	}
 }
 
-// Evaluate runs every candidate over the scenario's traces and aggregates
-// the degradation-from-best metric using the default engine. All candidates
-// (and the omniscient LowerBound) see identical failure traces.
-func Evaluate(ctx context.Context, sc Scenario, cands []Candidate) (*Evaluation, error) {
-	return EvaluateWith(ctx, engine.Default(), sc, cands)
-}
-
 // traceCell is the result of one (scenario × policy-set × trace) cell.
 type traceCell struct {
 	lower           float64
@@ -133,13 +126,16 @@ type traceCell struct {
 	horizonExceeded int
 }
 
-// EvaluateWith runs the evaluation on the given engine: traces execute
-// concurrently on its worker pool (the worker count never changes the
-// result — cells are aggregated by trace index), and failure traces are
-// drawn through its cache so scenarios that share (law, geometry, seed)
-// cells reuse them. Cancelling the context aborts in-flight simulations
+// Evaluate runs every candidate over the scenario's traces and
+// aggregates the degradation-from-best metric. All candidates (and the
+// omniscient LowerBound) see identical failure traces. Traces execute
+// concurrently on the engine's worker pool (the worker count never
+// changes the result — cells are aggregated by trace index), and failure
+// traces are drawn through its cache so scenarios that share (law,
+// geometry, seed) cells reuse them; a nil engine means
+// engine.Default(). Cancelling the context aborts in-flight simulations
 // and returns ctx.Err() promptly.
-func EvaluateWith(ctx context.Context, eng *engine.Engine, sc Scenario, cands []Candidate) (*Evaluation, error) {
+func Evaluate(ctx context.Context, eng *engine.Engine, sc Scenario, cands []Candidate) (*Evaluation, error) {
 	d, err := sc.Derive()
 	if err != nil {
 		return nil, err

@@ -90,11 +90,11 @@ func TestEvaluateExponentialSingleProc(t *testing.T) {
 	cfg := DefaultCandidateConfig()
 	cfg.DPNextFailureQuanta = 60
 	cfg.DPMakespanQuanta = 50
-	cands, err := StandardCandidates(context.Background(), sc, cfg)
+	cands, err := StandardCandidates(context.Background(), nil, sc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := Evaluate(context.Background(), sc, cands)
+	ev, err := Evaluate(context.Background(), nil, sc, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,15 +138,15 @@ func TestEvaluateDeterministic(t *testing.T) {
 	sc.Traces = 8
 	cfg := DefaultCandidateConfig()
 	cfg.DPNextFailureQuanta = 40
-	cands, err := StandardCandidates(context.Background(), sc, cfg)
+	cands, err := StandardCandidates(context.Background(), nil, sc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev1, err := Evaluate(context.Background(), sc, cands)
+	ev1, err := Evaluate(context.Background(), nil, sc, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev2, err := Evaluate(context.Background(), sc, cands)
+	ev2, err := Evaluate(context.Background(), nil, sc, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +170,11 @@ func TestEvaluateSkipsInfeasibleLiu(t *testing.T) {
 	}
 	cfg := DefaultCandidateConfig()
 	cfg.DPNextFailureQuanta = 0 // keep this test fast
-	cands, err := StandardCandidates(context.Background(), sc, cfg)
+	cands, err := StandardCandidates(context.Background(), nil, sc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := Evaluate(context.Background(), sc, cands)
+	ev, err := Evaluate(context.Background(), nil, sc, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestStandardCandidatesDPMakespanNeedsAggregableLaw(t *testing.T) {
 	cfg.IncludeLiu = false
 	cfg.IncludeBouguerra = false
 	cfg.DPNextFailureQuanta = 30
-	cands, err := StandardCandidates(context.Background(), sc, cfg)
+	cands, err := StandardCandidates(context.Background(), nil, sc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestSearchPeriodLBFindsGoodPeriod(t *testing.T) {
 	cfg.EvalTraces = 12
 	cfg.GeometricSteps = 8
 	cfg.LinearSteps = 4
-	period, err := SearchPeriodLB(context.Background(), sc, cfg)
+	period, err := SearchPeriodLB(context.Background(), nil, sc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestPeriodVariationUShape(t *testing.T) {
 	cfg.DPNextFailureQuanta = 0
 	cfg.IncludeLiu = false
 	cfg.IncludeBouguerra = false
-	points, ev, err := PeriodVariation(context.Background(), sc, cfg, []float64{-4, -2, 0, 2, 4})
+	points, ev, err := PeriodVariation(context.Background(), nil, sc, cfg, []float64{-4, -2, 0, 2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,11 +342,11 @@ func TestEvaluateWeibullDPNextFailureWins(t *testing.T) {
 	}
 	cfg := DefaultCandidateConfig()
 	cfg.DPNextFailureQuanta = 120
-	cands, err := StandardCandidates(context.Background(), sc, cfg)
+	cands, err := StandardCandidates(context.Background(), nil, sc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := Evaluate(context.Background(), sc, cands)
+	ev, err := Evaluate(context.Background(), nil, sc, cands)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,20 +39,14 @@ func DefaultPeriodLBConfig() PeriodLBConfig {
 }
 
 // SearchPeriodLB finds the best fixed checkpointing period for the
-// scenario with the default engine.
-func SearchPeriodLB(ctx context.Context, sc Scenario, cfg PeriodLBConfig) (float64, error) {
-	return SearchPeriodLBWith(ctx, engine.Default(), sc, cfg)
-}
-
-// SearchPeriodLBWith finds the best fixed checkpointing period for the
 // scenario by numerical search around OptExp's period, evaluating every
 // candidate period on the same pre-generated traces (paired search).
 // Candidate periods of each refinement phase are scored concurrently on
 // the engine's worker pool; the winner is then selected by a sequential
 // scan in the same order (and with the same strict-improvement tie
 // breaking) as the original sequential search, so the result is identical
-// for every worker count.
-func SearchPeriodLBWith(ctx context.Context, eng *engine.Engine, sc Scenario, cfg PeriodLBConfig) (float64, error) {
+// for every worker count. A nil engine means engine.Default().
+func SearchPeriodLB(ctx context.Context, eng *engine.Engine, sc Scenario, cfg PeriodLBConfig) (float64, error) {
 	d, err := sc.Derive()
 	if err != nil {
 		return 0, err
@@ -153,17 +147,11 @@ type PeriodVariationPoint struct {
 	Degradation Stats
 }
 
-// PeriodVariation reproduces the PeriodVariation curves with the default
-// engine.
-func PeriodVariation(ctx context.Context, sc Scenario, cfg CandidateConfig, log2Factors []float64) ([]PeriodVariationPoint, *Evaluation, error) {
-	return PeriodVariationWith(ctx, engine.Default(), sc, cfg, log2Factors)
-}
-
-// PeriodVariationWith reproduces the PeriodVariation curves: it evaluates
+// PeriodVariation reproduces the PeriodVariation curves: it evaluates
 // fixed-period policies at base*2^f for the given f grid, together with
 // the standard candidate set (which defines the per-trace reference), and
-// returns one point per factor.
-func PeriodVariationWith(ctx context.Context, eng *engine.Engine, sc Scenario, cfg CandidateConfig, log2Factors []float64) ([]PeriodVariationPoint, *Evaluation, error) {
+// returns one point per factor. A nil engine means engine.Default().
+func PeriodVariation(ctx context.Context, eng *engine.Engine, sc Scenario, cfg CandidateConfig, log2Factors []float64) ([]PeriodVariationPoint, *Evaluation, error) {
 	d, err := sc.Derive()
 	if err != nil {
 		return nil, nil, err
@@ -172,7 +160,7 @@ func PeriodVariationWith(ctx context.Context, eng *engine.Engine, sc Scenario, c
 	if err != nil {
 		return nil, nil, err
 	}
-	cands, err := StandardCandidatesWith(ctx, eng, sc, cfg)
+	cands, err := StandardCandidates(ctx, eng, sc, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -190,7 +178,7 @@ func PeriodVariationWith(ctx context.Context, eng *engine.Engine, sc Scenario, c
 			}(period, names[i]),
 		})
 	}
-	ev, err := EvaluateWith(ctx, eng, sc, cands)
+	ev, err := Evaluate(ctx, eng, sc, cands)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -47,4 +47,29 @@
 // path) otherwise. Detach copies the observability values onto a fresh
 // context so detached work (coalesced evaluations, background sweep
 // runners) stays correlated without inheriting cancellation.
+//
+// # Metrics
+//
+// Registry is the one metrics surface of the serving processes:
+// counters, fixed-bucket histograms, labeled vectors of both, and
+// counter/gauge funcs over values another component owns (store.Stats,
+// engine.CacheStats), snapshotted once per scrape by OnScrape. WriteTo
+// renders families in registration order and each family's series
+// sorted by label values, never in map order, so a scrape is a
+// deterministic function of the recorded values. Histogram buckets are
+// allocated with the series, so a scrape before the first observation
+// shows every bucket and Observe allocates nothing.
+//
+// Spans reach histograms through the tracer's OnEnd hook, on
+// SpanBuckets:
+//
+//   - chkpt-serve: advisor.replan → chkpt_replan_seconds{warm},
+//     engine.cell → chkpt_engine_cell_seconds, engine.cache →
+//     chkpt_engine_cache_seconds{result}, store.rpc →
+//     chkpt_remote_store_rpc_seconds{op,result}, and, with a local
+//     store, store.fsync and store.replay → chkpt_store_fsync_seconds
+//     (C) and chkpt_store_replay_seconds (R).
+//   - chkpt-store: store.fsync and store.replay → the same C and R
+//     histograms, registered by the same store.RegisterMetrics. Under
+//     chkpt-serve -store every fsync and replay happens there.
 package obs

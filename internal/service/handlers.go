@@ -161,12 +161,6 @@ func (s *Server) handleRegistry(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	cs, ok := s.eng.CacheStats()
-	s.met.writeTo(w, cs, ok, s.store.stats(), s.st.Stats())
-}
-
 // TracesResponse is the GET /v1/debug/traces payload: the most recent
 // finished spans, newest first.
 type TracesResponse struct {
@@ -210,7 +204,7 @@ func (s *Server) evaluateCoalesced(ctx context.Context, hash string, cell spec.C
 			return nil, err
 		}
 		defer s.adm.release()
-		s.met.coalesce(false)
+		s.met.coalesceRuns.Inc()
 		if s.evalGate != nil {
 			s.evalGate()
 		}
@@ -221,7 +215,7 @@ func (s *Server) evaluateCoalesced(ctx context.Context, hash string, cell spec.C
 		return res, nil
 	})
 	if shared {
-		s.met.coalesce(true)
+		s.met.coalesceHits.Inc()
 	}
 	if err != nil {
 		return spec.CellResult{}, shared, err
@@ -317,7 +311,7 @@ func (s *Server) evaluateSpec(ctx context.Context, es *spec.ExperimentSpec) (*Ev
 	res, shared, err := s.evaluateCoalesced(ctx, hash, cells[0])
 	if err != nil {
 		if errors.Is(err, errOverload) {
-			s.met.reject()
+			s.met.rejected.Inc()
 		}
 		return nil, spec.CellResult{}, errorStatus(err), err
 	}
@@ -346,7 +340,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	if err := s.adm.acquire(ctx); err != nil {
 		if errors.Is(err, errOverload) {
-			s.met.reject()
+			s.met.rejected.Inc()
 			writeError(w, http.StatusTooManyRequests, err)
 			return
 		}
@@ -387,7 +381,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			// The client went away mid-stream (seen as a cancelled
 			// request context or as a failed write) and the sweep
 			// stopped. Nobody is listening for a trailer.
-			s.met.sweepCancel()
+			s.met.sweepCancelled.Inc()
 			return
 		}
 		_ = enc.Encode(SweepTrailer{Cells: n, Error: streamErr.Error()})

@@ -1,13 +1,6 @@
 package service
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"strconv"
-	"sync"
-	"time"
-
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/store"
@@ -17,66 +10,6 @@ import (
 // range from milliseconds (cache-hot single cells) to minutes (cold
 // paper-scale sweeps), so the buckets are log-spaced across that span.
 var latencyBuckets = []float64{0.005, 0.02, 0.1, 0.5, 2, 10, 60}
-
-// spanBuckets are the upper bounds for the span-fed stage histograms.
-// Warm re-plans are ~10µs, cold DP builds ~1ms, fsyncs ~1ms, engine
-// cells up to seconds, so these reach two decades lower than the
-// request buckets.
-var spanBuckets = []float64{0.00001, 0.0001, 0.001, 0.005, 0.02, 0.1, 0.5, 2, 10}
-
-// histogram is a fixed-bucket latency histogram. Its bucket slice is
-// sized at construction — observe never allocates, so a histogram that
-// is scraped before its first observation still renders every bucket.
-type histogram struct {
-	bounds  []float64
-	buckets []uint64 // observations <= bounds[i]
-	sum     float64
-	count   uint64
-}
-
-func newHistogram(bounds []float64) *histogram {
-	return &histogram{bounds: bounds, buckets: make([]uint64, len(bounds))}
-}
-
-func (h *histogram) observe(sec float64) {
-	for i, le := range h.bounds {
-		if sec <= le {
-			h.buckets[i]++
-		}
-	}
-	h.sum += sec
-	h.count++
-}
-
-// metrics aggregates the server's operational counters. Everything is
-// guarded by one mutex: the handlers touch it a handful of times per
-// request, which is noise next to an engine evaluation.
-type metrics struct {
-	mu             sync.Mutex
-	requests       map[string]uint64 // "path code" -> count
-	latency        map[string]*histogram
-	coalesceHits   uint64 // requests that joined an existing flight
-	coalesceRuns   uint64 // flights actually executed
-	rejected       uint64 // admissions shed with 429
-	sweepCancelled uint64 // sweeps ended by client cancellation
-	decisions      uint64 // advisor decisions served over /v1/sessions
-
-	sweepJobsCreated   uint64 // durable sweep jobs journaled
-	sweepJobsResumed   uint64 // POSTs/loads that found an existing job
-	sweepCellsComputed uint64 // cells actually evaluated by job runners
-	sweepCellsRestored uint64 // cells recovered from the store, not re-run
-
-	// Span-fed stage histograms, constructed up front so a scrape before
-	// the first observation still renders the full bucket set.
-	replanCold  *histogram            // chkpt_replan_seconds{warm="false"}
-	replanWarm  *histogram            // chkpt_replan_seconds{warm="true"}
-	storeFsync  *histogram            // chkpt_store_fsync_seconds
-	engineCell  *histogram            // chkpt_engine_cell_seconds
-	engineHit   *histogram            // chkpt_engine_cache_seconds{result="hit"}
-	engineMiss  *histogram            // chkpt_engine_cache_seconds{result="miss"}
-	storeReplay *histogram            // chkpt_store_replay_seconds
-	remoteRPC   map[string]*histogram // chkpt_remote_store_rpc_seconds{op,result}, keyed "op result"
-}
 
 // remoteStoreOps mirrors the remote store wire protocol's operation
 // names so every {op,result} series of
@@ -89,36 +22,71 @@ var remoteStoreOps = []string{
 	"lease-acquire", "lease-renew", "lease-release", "stats",
 }
 
-func newMetrics() *metrics {
-	m := &metrics{
-		requests:    map[string]uint64{},
-		latency:     map[string]*histogram{},
-		replanCold:  newHistogram(spanBuckets),
-		replanWarm:  newHistogram(spanBuckets),
-		storeFsync:  newHistogram(spanBuckets),
-		engineCell:  newHistogram(spanBuckets),
-		engineHit:   newHistogram(spanBuckets),
-		engineMiss:  newHistogram(spanBuckets),
-		storeReplay: newHistogram(spanBuckets),
-		remoteRPC:   map[string]*histogram{},
-	}
-	for _, op := range remoteStoreOps {
-		m.remoteRPC[op+" ok"] = newHistogram(spanBuckets)
-		m.remoteRPC[op+" error"] = newHistogram(spanBuckets)
-	}
-	return m
+// metrics are the server's series on its /metrics registry. Call sites
+// increment them directly; values other components own (store and
+// engine-cache counters) are read at scrape time, and the session store
+// registers its own.
+type metrics struct {
+	reg *obs.Registry
+
+	requests *obs.CounterVec   // {path,code}
+	latency  *obs.HistogramVec // {path}
+
+	// Span-fed stage histograms (see observeSpan).
+	replanCold, replanWarm, engineCell, engineHit, engineMiss *obs.Histogram
+	remoteRPC                                                 *obs.HistogramVec // {op,result}
+	storeSpan                                                 func(obs.Span)
+
+	coalesceRuns, coalesceHits, rejected, sweepCancelled, decisions            *obs.Counter
+	sweepJobsCreated, sweepJobsResumed, sweepCellsComputed, sweepCellsRestored *obs.Counter
 }
 
-func (m *metrics) observe(path string, code int, dur time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.requests[path+" "+strconv.Itoa(code)]++
-	h, ok := m.latency[path]
-	if !ok {
-		h = newHistogram(latencyBuckets)
-		m.latency[path] = h
+func newMetrics(eng *engine.Engine, st store.Store) *metrics {
+	r := obs.NewRegistry()
+	m := &metrics{
+		reg:      r,
+		requests: r.CounterVec("chkpt_requests_total", "Finished HTTP requests by path and status code.", "path", "code"),
+		latency:  r.HistogramVec("chkpt_request_duration_seconds", "Request latency by path.", latencyBuckets, "path"),
 	}
-	h.observe(dur.Seconds())
+	replan := r.HistogramVec("chkpt_replan_seconds",
+		"Advisor policy consultations by warmth: cold plans build the DP, warm re-plans walk the memo.",
+		obs.SpanBuckets, "warm")
+	m.replanCold, m.replanWarm = replan.With("false"), replan.With("true")
+	m.engineCell = r.Histogram("chkpt_engine_cell_seconds",
+		"Engine cell evaluation latency inside Run/Stream worker loops.", obs.SpanBuckets)
+	cache := r.HistogramVec("chkpt_engine_cache_seconds",
+		"Engine artifact resolution latency by cache outcome (misses pay the build).", obs.SpanBuckets, "result")
+	m.engineHit, m.engineMiss = cache.With("hit"), cache.With("miss")
+	m.remoteRPC = r.HistogramVec("chkpt_remote_store_rpc_seconds",
+		"Remote store RPC latency by wire operation and outcome (per call, across retries).",
+		obs.SpanBuckets, "op", "result")
+	for _, op := range remoteStoreOps {
+		m.remoteRPC.With(op, "ok")
+		m.remoteRPC.With(op, "error")
+	}
+
+	m.coalesceRuns = r.Counter("chkpt_coalesce_runs_total", "Coalesced evaluations actually executed.")
+	m.coalesceHits = r.Counter("chkpt_coalesce_hits_total", "Requests served by joining another request's evaluation.")
+	m.rejected = r.Counter("chkpt_admission_rejected_total", "Requests shed by the admission queue (429).")
+	m.sweepCancelled = r.Counter("chkpt_sweep_cancelled_total", "Sweeps terminated by client cancellation.")
+	m.decisions = r.Counter("chkpt_session_decisions_total", "Advisor decisions served over /v1/sessions.")
+	m.sweepJobsCreated = r.Counter("chkpt_sweep_jobs_created_total", "Durable sweep jobs journaled via POST /v1/sweeps.")
+	m.sweepJobsResumed = r.Counter("chkpt_sweep_jobs_resumed_total", "Sweep-job submissions or loads that found an existing job.")
+	m.sweepCellsComputed = r.Counter("chkpt_sweep_cells_computed_total", "Sweep-job cells evaluated by the runners.")
+	m.sweepCellsRestored = r.Counter("chkpt_sweep_cells_restored_total", "Sweep-job cells recovered from the result store without re-running.")
+	m.storeSpan = store.RegisterMetrics(r, st.Stats)
+
+	if eng.Cache() != nil {
+		var cs engine.CacheStats
+		r.OnScrape(func() { cs, _ = eng.CacheStats() })
+		r.CounterFunc("chkpt_engine_cache_hits_total", "Engine artifact cache hits.", func() uint64 { return cs.Hits })
+		r.CounterFunc("chkpt_engine_cache_misses_total", "Engine artifact cache misses.", func() uint64 { return cs.Misses })
+		r.CounterFunc("chkpt_engine_cache_evictions_total", "Engine artifact cache LRU evictions.", func() uint64 { return cs.Evictions })
+		r.GaugeFunc("chkpt_engine_cache_entries", "Live engine cache entries.", func() int64 { return int64(cs.Entries) })
+		r.GaugeFunc("chkpt_engine_cache_bytes", "Estimated engine cache footprint in bytes.", func() int64 { return cs.Bytes })
+		r.GaugeFunc("chkpt_engine_cache_budget_bytes", "Engine cache eviction threshold in bytes.", func() int64 { return cs.Budget })
+	}
+	return m
 }
 
 // observeSpan feeds a finished span into the stage histograms. It is the
@@ -126,301 +94,36 @@ func (m *metrics) observe(path string, code int, dur time.Duration) {
 // whether or not anyone reads /v1/debug/traces.
 func (m *metrics) observeSpan(s obs.Span) {
 	sec := s.Duration.Seconds()
-	var attr = func(key string) string {
-		for _, a := range s.Attrs {
-			if a.Key == key {
-				return a.Value
-			}
-		}
-		return ""
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	switch s.Name {
 	case "advisor.replan":
-		if attr("warm") == "true" {
-			m.replanWarm.observe(sec)
+		if spanAttr(s, "warm") == "true" {
+			m.replanWarm.Observe(sec)
 		} else {
-			m.replanCold.observe(sec)
+			m.replanCold.Observe(sec)
 		}
-	case "store.fsync":
-		m.storeFsync.observe(sec)
-	case "store.replay":
-		m.storeReplay.observe(sec)
 	case "engine.cell":
-		m.engineCell.observe(sec)
+		m.engineCell.Observe(sec)
 	case "engine.cache":
-		if attr("cache") == "hit" {
-			m.engineHit.observe(sec)
+		if spanAttr(s, "cache") == "hit" {
+			m.engineHit.Observe(sec)
 		} else {
-			m.engineMiss.observe(sec)
+			m.engineMiss.Observe(sec)
 		}
 	case "store.rpc":
-		op, result := attr("op"), attr("result")
-		if op == "" || result == "" {
-			return
+		if op, result := spanAttr(s, "op"), spanAttr(s, "result"); op != "" && result != "" {
+			m.remoteRPC.With(op, result).Observe(sec)
 		}
-		key := op + " " + result
-		h, ok := m.remoteRPC[key]
-		if !ok {
-			h = newHistogram(spanBuckets)
-			m.remoteRPC[key] = h
-		}
-		h.observe(sec)
+	default:
+		m.storeSpan(s)
 	}
 }
 
-func (m *metrics) coalesce(shared bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if shared {
-		m.coalesceHits++
-	} else {
-		m.coalesceRuns++
-	}
-}
-
-func (m *metrics) reject() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.rejected++
-}
-
-func (m *metrics) sweepCancel() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sweepCancelled++
-}
-
-func (m *metrics) sessionDecision() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.decisions++
-}
-
-func (m *metrics) sweepJobCreate() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sweepJobsCreated++
-}
-
-func (m *metrics) sweepJobResume() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sweepJobsResumed++
-}
-
-func (m *metrics) sweepCellCompute() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sweepCellsComputed++
-}
-
-func (m *metrics) sweepCellsRestore(n uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sweepCellsRestored += n
-}
-
-// Snapshot is a point-in-time copy of the server's counters, exposed for
-// tests and operational introspection.
-type Snapshot struct {
-	// Requests counts finished requests keyed "path code"
-	// (e.g. "/v1/evaluate 200").
-	Requests map[string]uint64
-	// CoalesceRuns counts evaluations actually executed; CoalesceHits
-	// counts requests that shared another request's run.
-	CoalesceRuns, CoalesceHits uint64
-	// Rejected counts requests shed by the admission queue (429).
-	Rejected uint64
-	// SweepCancelled counts sweeps terminated by client cancellation.
-	SweepCancelled uint64
-	// SessionsOpen gauges the live advisor sessions; SessionsCreated,
-	// SessionsEvicted (TTL expiries) and SessionsRejected (capacity 429s)
-	// count the store's lifecycle events.
-	SessionsOpen                                       int
-	SessionsCreated, SessionsEvicted, SessionsRejected uint64
-	// SessionsRecovered counts sessions rehydrated from the durable log
-	// after a restart (or after being dropped from memory).
-	SessionsRecovered uint64
-	// SessionDecisions counts advisor decisions served over /v1/sessions.
-	SessionDecisions uint64
-	// SweepJobsCreated / SweepJobsResumed count durable sweep jobs
-	// journaled vs found already journaled; SweepCellsComputed /
-	// SweepCellsRestored count cells evaluated vs recovered from the
-	// store without re-running.
-	SweepJobsCreated, SweepJobsResumed     uint64
-	SweepCellsComputed, SweepCellsRestored uint64
-	// Store snapshots the persistence backend's operation counters.
-	Store store.Stats
-}
-
-func (m *metrics) snapshot(ss sessionStats, st store.Stats) Snapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := Snapshot{
-		Requests:           make(map[string]uint64, len(m.requests)),
-		CoalesceRuns:       m.coalesceRuns,
-		CoalesceHits:       m.coalesceHits,
-		Rejected:           m.rejected,
-		SweepCancelled:     m.sweepCancelled,
-		SessionsOpen:       ss.open,
-		SessionsCreated:    ss.created,
-		SessionsEvicted:    ss.evicted,
-		SessionsRejected:   ss.rejected,
-		SessionsRecovered:  ss.recovered,
-		SessionDecisions:   m.decisions,
-		SweepJobsCreated:   m.sweepJobsCreated,
-		SweepJobsResumed:   m.sweepJobsResumed,
-		SweepCellsComputed: m.sweepCellsComputed,
-		SweepCellsRestored: m.sweepCellsRestored,
-		Store:              st,
-	}
-	for k, v := range m.requests {
-		s.Requests[k] = v
-	}
-	return s
-}
-
-// writeTo renders the counters in the Prometheus text exposition format,
-// with deterministic (sorted) series order. cacheStats carries the engine
-// cache's counters when the engine has a cache.
-func (m *metrics) writeTo(w io.Writer, cacheStats engine.CacheStats, hasCache bool, ss sessionStats, st store.Stats) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	fmt.Fprintln(w, "# HELP chkpt_requests_total Finished HTTP requests by path and status code.")
-	fmt.Fprintln(w, "# TYPE chkpt_requests_total counter")
-	keys := make([]string, 0, len(m.requests))
-	for k := range m.requests {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		var path, code string
-		fmt.Sscanf(k, "%s %s", &path, &code)
-		fmt.Fprintf(w, "chkpt_requests_total{path=%q,code=%q} %d\n", path, code, m.requests[k])
-	}
-
-	fmt.Fprintln(w, "# HELP chkpt_request_duration_seconds Request latency by path.")
-	fmt.Fprintln(w, "# TYPE chkpt_request_duration_seconds histogram")
-	paths := make([]string, 0, len(m.latency))
-	for p := range m.latency {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		h := m.latency[p]
-		for i, le := range h.bounds {
-			fmt.Fprintf(w, "chkpt_request_duration_seconds_bucket{path=%q,le=%q} %d\n", p, trimFloat(le), h.buckets[i])
-		}
-		fmt.Fprintf(w, "chkpt_request_duration_seconds_bucket{path=%q,le=\"+Inf\"} %d\n", p, h.count)
-		fmt.Fprintf(w, "chkpt_request_duration_seconds_sum{path=%q} %g\n", p, h.sum)
-		fmt.Fprintf(w, "chkpt_request_duration_seconds_count{path=%q} %d\n", p, h.count)
-	}
-
-	// labeledHist renders one histogram family: the HELP/TYPE header once,
-	// then each labeled series' cumulative buckets, +Inf, sum and count.
-	labeledHist := func(name, help string, series []struct {
-		labels string
-		h      *histogram
-	}) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-		for _, s := range series {
-			sep := ""
-			if s.labels != "" {
-				sep = ","
-			}
-			for i, le := range s.h.bounds {
-				fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, s.labels, sep, trimFloat(le), s.h.buckets[i])
-			}
-			fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, s.labels, sep, s.h.count)
-			if s.labels == "" {
-				fmt.Fprintf(w, "%s_sum %g\n%s_count %d\n", name, s.h.sum, name, s.h.count)
-			} else {
-				fmt.Fprintf(w, "%s_sum{%s} %g\n%s_count{%s} %d\n", name, s.labels, s.h.sum, name, s.labels, s.h.count)
-			}
+// spanAttr returns the span's value for key ("" when absent).
+func spanAttr(s obs.Span, key string) string {
+	for _, a := range s.Attrs {
+		if a.Key == key {
+			return a.Value
 		}
 	}
-	type series = struct {
-		labels string
-		h      *histogram
-	}
-	labeledHist("chkpt_replan_seconds",
-		"Advisor policy consultations by warmth: cold plans build the DP, warm re-plans walk the memo.",
-		[]series{{`warm="false"`, m.replanCold}, {`warm="true"`, m.replanWarm}})
-	labeledHist("chkpt_store_fsync_seconds",
-		"Durable-store fsync latency (the serving tier's checkpoint cost C).",
-		[]series{{"", m.storeFsync}})
-	labeledHist("chkpt_store_replay_seconds",
-		"Session-log replay latency (recovery cost R).",
-		[]series{{"", m.storeReplay}})
-	labeledHist("chkpt_engine_cell_seconds",
-		"Engine cell evaluation latency inside Run/Stream worker loops.",
-		[]series{{"", m.engineCell}})
-	labeledHist("chkpt_engine_cache_seconds",
-		"Engine artifact resolution latency by cache outcome (misses pay the build).",
-		[]series{{`result="hit"`, m.engineHit}, {`result="miss"`, m.engineMiss}})
-	rpcKeys := make([]string, 0, len(m.remoteRPC))
-	for k := range m.remoteRPC {
-		rpcKeys = append(rpcKeys, k)
-	}
-	sort.Strings(rpcKeys)
-	rpcSeries := make([]series, 0, len(rpcKeys))
-	for _, k := range rpcKeys {
-		var op, result string
-		fmt.Sscanf(k, "%s %s", &op, &result)
-		rpcSeries = append(rpcSeries, series{
-			labels: fmt.Sprintf("op=%q,result=%q", op, result),
-			h:      m.remoteRPC[k],
-		})
-	}
-	labeledHist("chkpt_remote_store_rpc_seconds",
-		"Remote store RPC latency by wire operation and outcome (per call, across retries).",
-		rpcSeries)
-
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("chkpt_coalesce_runs_total", "Coalesced evaluations actually executed.", m.coalesceRuns)
-	counter("chkpt_coalesce_hits_total", "Requests served by joining another request's evaluation.", m.coalesceHits)
-	counter("chkpt_admission_rejected_total", "Requests shed by the admission queue (429).", m.rejected)
-	counter("chkpt_sweep_cancelled_total", "Sweeps terminated by client cancellation.", m.sweepCancelled)
-	counter("chkpt_sessions_created_total", "Advisor sessions created.", ss.created)
-	counter("chkpt_sessions_evicted_total", "Advisor sessions reclaimed by TTL expiry.", ss.evicted)
-	counter("chkpt_sessions_rejected_total", "Session creations refused by the store capacity bound (429).", ss.rejected)
-	counter("chkpt_sessions_recovered_total", "Sessions rehydrated from the durable event log.", ss.recovered)
-	counter("chkpt_session_decisions_total", "Advisor decisions served over /v1/sessions.", m.decisions)
-	counter("chkpt_sweep_jobs_created_total", "Durable sweep jobs journaled via POST /v1/sweeps.", m.sweepJobsCreated)
-	counter("chkpt_sweep_jobs_resumed_total", "Sweep-job submissions or loads that found an existing job.", m.sweepJobsResumed)
-	counter("chkpt_sweep_cells_computed_total", "Sweep-job cells evaluated by the runners.", m.sweepCellsComputed)
-	counter("chkpt_sweep_cells_restored_total", "Sweep-job cells recovered from the result store without re-running.", m.sweepCellsRestored)
-	counter("chkpt_store_appends_total", "Session-log records durably appended.", st.Appends)
-	counter("chkpt_store_replays_total", "Session logs replayed for recovery.", st.Replays)
-	counter("chkpt_store_puts_total", "Result-store values written.", st.Puts)
-	counter("chkpt_store_gets_total", "Result-store lookups (hits and misses).", st.Gets)
-	counter("chkpt_store_lease_acquired_total", "Leases granted (fresh grants, reclaims and holder re-acquires).", st.LeaseAcquired)
-	counter("chkpt_store_lease_renewed_total", "Lease renewals accepted under a matching fencing token.", st.LeaseRenewed)
-	counter("chkpt_store_lease_released_total", "Leases released by their holder.", st.LeaseReleased)
-	counter("chkpt_store_lease_reclaimed_total", "Expired leases taken over by a new owner.", st.LeaseReclaimed)
-	counter("chkpt_store_lease_stale_total", "Lease operations fenced off with a stale token.", st.LeaseStale)
-	fmt.Fprintf(w, "# HELP chkpt_sessions_open Live advisor sessions.\n# TYPE chkpt_sessions_open gauge\nchkpt_sessions_open %d\n", ss.open)
-
-	if hasCache {
-		counter("chkpt_engine_cache_hits_total", "Engine artifact cache hits.", cacheStats.Hits)
-		counter("chkpt_engine_cache_misses_total", "Engine artifact cache misses.", cacheStats.Misses)
-		counter("chkpt_engine_cache_evictions_total", "Engine artifact cache LRU evictions.", cacheStats.Evictions)
-		gauge := func(name, help string, v int64) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-		}
-		gauge("chkpt_engine_cache_entries", "Live engine cache entries.", int64(cacheStats.Entries))
-		gauge("chkpt_engine_cache_bytes", "Estimated engine cache footprint in bytes.", cacheStats.Bytes)
-		gauge("chkpt_engine_cache_budget_bytes", "Engine cache eviction threshold in bytes.", cacheStats.Budget)
-	}
-}
-
-// trimFloat prints a bucket bound the way Prometheus conventionally does
-// (no trailing zeros).
-func trimFloat(f float64) string {
-	return strconv.FormatFloat(f, 'g', -1, 64)
+	return ""
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strconv"
 	"strings"
@@ -249,6 +250,37 @@ func parseExposition(t *testing.T, payload string) map[string]*promFamily {
 	return families
 }
 
+// scrapeMetrics reads srv's /metrics through its handler and returns a
+// lookup of the unlabeled samples by name; a name missing from the
+// scrape fails the test rather than reading as zero.
+func scrapeMetrics(t *testing.T, srv *Server) func(name string) float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("metrics status = %d", rec.Code)
+	}
+	values := map[string]float64{}
+	for name, f := range parseExposition(t, rec.Body.String()) {
+		if f.typ == "histogram" {
+			continue
+		}
+		for _, s := range f.samples {
+			if s.labels == "" {
+				values[name] = s.value
+			}
+		}
+	}
+	return func(name string) float64 {
+		t.Helper()
+		v, ok := values[name]
+		if !ok {
+			t.Fatalf("metric %s missing from the scrape", name)
+		}
+		return v
+	}
+}
+
 // checkHistogram asserts the histogram contract for one labeled series
 // of a family: cumulative buckets are monotonically non-decreasing, the
 // series ends with le="+Inf", and the +Inf bucket equals the count
@@ -398,7 +430,7 @@ func TestMetricsZeroObservationScrape(t *testing.T) {
 			t.Fatalf("%s count = %v on a fresh server", name, n)
 		}
 		// Every finite bucket renders, not just +Inf: the family carries
-		// len(spanBuckets)+1 bucket samples per series.
+		// len(obs.SpanBuckets)+1 bucket samples per series.
 		var buckets int
 		for _, s := range fam.samples {
 			if key != "" && !strings.Contains(s.labels, key) {
@@ -408,7 +440,7 @@ func TestMetricsZeroObservationScrape(t *testing.T) {
 				buckets++
 			}
 		}
-		if want := len(spanBuckets) + 1; buckets != want {
+		if want := len(obs.SpanBuckets) + 1; buckets != want {
 			t.Fatalf("%s renders %d buckets, want %d", name, buckets, want)
 		}
 	}

@@ -132,8 +132,8 @@ func TestSessionCrashRecovery(t *testing.T) {
 	if got.State.Failures != 1 || got.State.Outage {
 		t.Fatalf("recovered state %+v", got.State)
 	}
-	if m := srv2.Metrics(); m.SessionsRecovered != 1 || m.Store.Replays == 0 {
-		t.Fatalf("recovery metrics: recovered %d, replays %d", m.SessionsRecovered, m.Store.Replays)
+	if m := scrapeMetrics(t, srv2); m("chkpt_sessions_recovered_total") != 1 || m("chkpt_store_replays_total") == 0 {
+		t.Fatalf("recovery metrics: recovered %v, replays %v", m("chkpt_sessions_recovered_total"), m("chkpt_store_replays_total"))
 	}
 
 	// Future decisions agree too: the replay restored the policy's plan
@@ -176,8 +176,8 @@ func TestSessionDeleteTombstoneSurvivesRestart(t *testing.T) {
 	if code := deleteSession(t, ts2.URL, sr.ID); code != http.StatusNotFound {
 		t.Fatalf("re-delete after restart: status %d, want 404", code)
 	}
-	if m := srv2.Metrics(); m.SessionsRecovered != 0 {
-		t.Fatalf("tombstoned session counted as recovered: %d", m.SessionsRecovered)
+	if n := scrapeMetrics(t, srv2)("chkpt_sessions_recovered_total"); n != 0 {
+		t.Fatalf("tombstoned session counted as recovered: %v", n)
 	}
 }
 
@@ -300,9 +300,9 @@ func TestSweepJobLifecycle(t *testing.T) {
 	if code != http.StatusOK || !jr2.Resumed || !jr2.Done || jr2.Completed != 3 {
 		t.Fatalf("re-submit: status %d, %+v", code, jr2)
 	}
-	if m := srv.Metrics(); m.SweepJobsCreated != 1 || m.SweepCellsComputed != 3 {
-		t.Fatalf("job metrics: created %d, computed %d — the re-submit re-ran cells",
-			m.SweepJobsCreated, m.SweepCellsComputed)
+	if m := scrapeMetrics(t, srv); m("chkpt_sweep_jobs_created_total") != 1 || m("chkpt_sweep_cells_computed_total") != 3 {
+		t.Fatalf("job metrics: created %v, computed %v — the re-submit re-ran cells",
+			m("chkpt_sweep_jobs_created_total"), m("chkpt_sweep_cells_computed_total"))
 	}
 
 	from2 := jobLines(t, ts.URL+"/v1/sweeps/"+jr.ID+"?from=2")
@@ -365,10 +365,10 @@ func TestSweepJobCrashRestart(t *testing.T) {
 	if code != http.StatusOK || !jr2.Resumed || !jr2.Done || jr2.Completed != 3 {
 		t.Fatalf("resume after restart: status %d, %+v", code, jr2)
 	}
-	m := srv2.Metrics()
-	if m.SweepCellsComputed != 0 || m.SweepCellsRestored != 3 || m.SweepJobsResumed != 1 {
-		t.Fatalf("restart metrics: computed %d restored %d resumed %d, want 0/3/1",
-			m.SweepCellsComputed, m.SweepCellsRestored, m.SweepJobsResumed)
+	m := scrapeMetrics(t, srv2)
+	if m("chkpt_sweep_cells_computed_total") != 0 || m("chkpt_sweep_cells_restored_total") != 3 || m("chkpt_sweep_jobs_resumed_total") != 1 {
+		t.Fatalf("restart metrics: computed %v restored %v resumed %v, want 0/3/1",
+			m("chkpt_sweep_cells_computed_total"), m("chkpt_sweep_cells_restored_total"), m("chkpt_sweep_jobs_resumed_total"))
 	}
 	restarted := jobLines(t, ts2.URL+"/v1/sweeps/"+jr.ID)
 	for i := range lines {
@@ -447,13 +447,13 @@ func TestSweepJobLeaseReclaimAfterCrash(t *testing.T) {
 			t.Fatalf("line %d differs from the uninterrupted sweep:\n got  %s\n want %s", i, lines[i], ref[i])
 		}
 	}
-	m := srvB.Metrics()
-	if m.SweepCellsRestored != 1 || m.SweepCellsComputed != 2 {
-		t.Fatalf("takeover metrics: restored %d computed %d, want 1/2 (a duplicate run)",
-			m.SweepCellsRestored, m.SweepCellsComputed)
+	m := scrapeMetrics(t, srvB)
+	if m("chkpt_sweep_cells_restored_total") != 1 || m("chkpt_sweep_cells_computed_total") != 2 {
+		t.Fatalf("takeover metrics: restored %v computed %v, want 1/2 (a duplicate run)",
+			m("chkpt_sweep_cells_restored_total"), m("chkpt_sweep_cells_computed_total"))
 	}
-	if m.Store.LeaseReclaimed < 1 {
-		t.Fatalf("lease reclaims = %d, want >= 1", m.Store.LeaseReclaimed)
+	if n := m("chkpt_store_lease_reclaimed_total"); n < 1 {
+		t.Fatalf("lease reclaims = %v, want >= 1", n)
 	}
 
 	// The dead replica wakes up and tries to write with its old claim:
@@ -522,8 +522,8 @@ func TestSweepJobResumesFromPersistedPrefix(t *testing.T) {
 			t.Fatalf("line %d differs from the uninterrupted sweep:\n job   %s\n sweep %s", i, lines[i], ref[i])
 		}
 	}
-	m := srv.Metrics()
-	if m.SweepCellsRestored != 1 || m.SweepCellsComputed != 2 {
-		t.Fatalf("resume metrics: restored %d computed %d, want 1/2", m.SweepCellsRestored, m.SweepCellsComputed)
+	m := scrapeMetrics(t, srv)
+	if m("chkpt_sweep_cells_restored_total") != 1 || m("chkpt_sweep_cells_computed_total") != 2 {
+		t.Fatalf("resume metrics: restored %v computed %v, want 1/2", m("chkpt_sweep_cells_restored_total"), m("chkpt_sweep_cells_computed_total"))
 	}
 }

@@ -180,7 +180,7 @@ func New(cfg Config) *Server {
 	if retryDelay <= 0 {
 		retryDelay = 250 * time.Millisecond
 	}
-	met := newMetrics()
+	met := newMetrics(eng, st)
 	tracer := obs.NewTracer(obs.TracerConfig{
 		Clock:    clock,
 		Capacity: cfg.TraceCapacity,
@@ -192,7 +192,7 @@ func New(cfg Config) *Server {
 		adm:        newAdmission(conc, depth),
 		coal:       newCoalescer(),
 		met:        met,
-		store:      newSessionStore(ttl, maxSessions, st, clock),
+		store:      newSessionStore(ttl, maxSessions, st, clock, met.reg),
 		st:         st,
 		sweeps:     newSweepJobs(),
 		version:    version,
@@ -213,7 +213,7 @@ func New(cfg Config) *Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/registry", s.handleRegistry)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.Handle("GET /metrics", met.reg)
 	mux.HandleFunc("POST /v1/evaluate", s.handleEvaluate)
 	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
 	mux.HandleFunc("GET /v1/recommend", s.handleRecommend)
@@ -231,9 +231,6 @@ func New(cfg Config) *Server {
 // Handler returns the service's HTTP handler: the API mux wrapped in the
 // access-log and metrics middleware.
 func (s *Server) Handler() http.Handler { return s.handler }
-
-// Metrics returns a point-in-time snapshot of the server's counters.
-func (s *Server) Metrics() Snapshot { return s.met.snapshot(s.store.stats(), s.st.Stats()) }
 
 // Close stops the server's background work: it cancels every running
 // sweep-job runner and waits for them to drain. It does not close the
@@ -296,7 +293,7 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // metricsPath collapses unknown request paths into one series: the
-// metrics maps are keyed by path, and without this bound a scanner
+// request series are keyed by path, and without this bound a scanner
 // spraying unique URLs would grow them (and the /metrics exposition)
 // without limit.
 func metricsPath(path string) string {
@@ -345,7 +342,9 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		}
 		span.SetAttr("status", strconv.Itoa(sw.status))
 		span.End()
-		s.met.observe(metricsPath(r.URL.Path), sw.status, dur)
+		path := metricsPath(r.URL.Path)
+		s.met.requests.With(path, strconv.Itoa(sw.status)).Inc()
+		s.met.latency.With(path).Observe(dur.Seconds())
 		s.log.Info("request",
 			"method", r.Method,
 			"path", r.URL.Path,

@@ -220,9 +220,9 @@ func TestEvaluateCoalescing(t *testing.T) {
 	if !cellsEqual(a.er.Cell, b.er.Cell) {
 		t.Errorf("coalesced responses differ:\n%+v\n%+v", a.er.Cell, b.er.Cell)
 	}
-	m := s.Metrics()
-	if m.CoalesceRuns != 1 || m.CoalesceHits != 1 {
-		t.Errorf("coalesce runs=%d hits=%d, want 1/1", m.CoalesceRuns, m.CoalesceHits)
+	m := scrapeMetrics(t, s)
+	if m("chkpt_coalesce_runs_total") != 1 || m("chkpt_coalesce_hits_total") != 1 {
+		t.Errorf("coalesce runs=%v hits=%v, want 1/1", m("chkpt_coalesce_runs_total"), m("chkpt_coalesce_hits_total"))
 	}
 }
 
@@ -262,8 +262,8 @@ func TestOverloadSheds429(t *testing.T) {
 	if st := <-done; st != http.StatusOK {
 		t.Fatalf("first request status = %d", st)
 	}
-	if m := s.Metrics(); m.Rejected != 1 {
-		t.Errorf("rejected = %d, want 1", m.Rejected)
+	if n := scrapeMetrics(t, s)("chkpt_admission_rejected_total"); n != 1 {
+		t.Errorf("rejected = %v, want 1", n)
 	}
 }
 
@@ -374,7 +374,7 @@ func TestSweepClientCancelObserved(t *testing.T) {
 	cancel()
 
 	waitFor(t, "server observes context.Canceled", func() bool {
-		return s.Metrics().SweepCancelled >= 1
+		return scrapeMetrics(t, s)("chkpt_sweep_cancelled_total") >= 1
 	})
 }
 

@@ -115,9 +115,10 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatalf("events after delete: %d", resp2.StatusCode)
 	}
 
-	snap := srv.Metrics()
-	if snap.SessionsCreated != 1 || snap.SessionsOpen != 0 || snap.SessionDecisions < 2 {
-		t.Fatalf("session metrics %+v", snap)
+	m := scrapeMetrics(t, srv)
+	if m("chkpt_sessions_created_total") != 1 || m("chkpt_sessions_open") != 0 || m("chkpt_session_decisions_total") < 2 {
+		t.Fatalf("session metrics: created %v, open %v, decisions %v",
+			m("chkpt_sessions_created_total"), m("chkpt_sessions_open"), m("chkpt_session_decisions_total"))
 	}
 }
 
@@ -285,8 +286,8 @@ func TestSessionStoreOverloadAnswers429(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	if snap := srv.Metrics(); snap.SessionsRejected != 1 || snap.SessionsOpen != 2 {
-		t.Fatalf("overload metrics %+v", snap)
+	if m := scrapeMetrics(t, srv); m("chkpt_sessions_rejected_total") != 1 || m("chkpt_sessions_open") != 2 {
+		t.Fatalf("overload metrics: rejected %v, open %v", m("chkpt_sessions_rejected_total"), m("chkpt_sessions_open"))
 	}
 }
 
@@ -327,9 +328,9 @@ func TestSessionTTLExpiry(t *testing.T) {
 	if getResp.StatusCode != http.StatusNotFound {
 		t.Fatalf("expired get: %d", getResp.StatusCode)
 	}
-	snap := srv.Metrics()
-	if snap.SessionsEvicted != 1 || snap.SessionsOpen != 0 {
-		t.Fatalf("expiry metrics %+v", snap)
+	m := scrapeMetrics(t, srv)
+	if m("chkpt_sessions_evicted_total") != 1 || m("chkpt_sessions_open") != 0 {
+		t.Fatalf("expiry metrics: evicted %v, open %v", m("chkpt_sessions_evicted_total"), m("chkpt_sessions_open"))
 	}
 
 	// A full store reclaims expired sessions instead of rejecting.
@@ -339,8 +340,8 @@ func TestSessionTTLExpiry(t *testing.T) {
 	createSession(t, ts2.URL, sessionSpecJSON(`{"kind": "young"}`))
 	clock2 = clock2.Add(2 * time.Minute)
 	createSession(t, ts2.URL, sessionSpecJSON(`{"kind": "young"}`))
-	if snap := srv2.Metrics(); snap.SessionsEvicted != 1 || snap.SessionsRejected != 0 {
-		t.Fatalf("reclaim metrics %+v", snap)
+	if m := scrapeMetrics(t, srv2); m("chkpt_sessions_evicted_total") != 1 || m("chkpt_sessions_rejected_total") != 0 {
+		t.Fatalf("reclaim metrics: evicted %v, rejected %v", m("chkpt_sessions_evicted_total"), m("chkpt_sessions_rejected_total"))
 	}
 }
 

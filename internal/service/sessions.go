@@ -60,15 +60,6 @@ func specDigest(ss *spec.SessionSpec) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// sessionStats is a point-in-time snapshot of the store's counters.
-type sessionStats struct {
-	open      int
-	created   uint64
-	evicted   uint64 // TTL expiries reclaimed
-	rejected  uint64 // creations refused at capacity
-	recovered uint64 // sessions rehydrated from the durable log
-}
-
 // sessionStore is the bounded TTL store behind /v1/sessions. Sessions
 // expire ttl after their last touch (sliding window); expired entries are
 // reclaimed lazily — on lookup, and wholesale when a creation finds the
@@ -86,20 +77,29 @@ type sessionStore struct {
 	log  store.SessionLog
 	now  func() time.Time // injectable clock for the expiry tests
 
-	created   uint64
-	evicted   uint64
-	rejected  uint64
-	recovered uint64
+	created, evicted, rejected, recovered *obs.Counter
 }
 
-func newSessionStore(ttl time.Duration, capacity int, log store.SessionLog, clock obs.Clock) *sessionStore {
-	return &sessionStore{
-		byID: map[string]*liveSession{},
-		ttl:  ttl,
-		cap:  capacity,
-		log:  log,
-		now:  clock.Now,
+// newSessionStore builds the store and registers its lifecycle series
+// on r.
+func newSessionStore(ttl time.Duration, capacity int, log store.SessionLog, clock obs.Clock, r *obs.Registry) *sessionStore {
+	st := &sessionStore{
+		byID:      map[string]*liveSession{},
+		ttl:       ttl,
+		cap:       capacity,
+		log:       log,
+		now:       clock.Now,
+		created:   r.Counter("chkpt_sessions_created_total", "Advisor sessions created."),
+		evicted:   r.Counter("chkpt_sessions_evicted_total", "Advisor sessions reclaimed by TTL expiry."),
+		rejected:  r.Counter("chkpt_sessions_rejected_total", "Session creations refused by the store capacity bound (429)."),
+		recovered: r.Counter("chkpt_sessions_recovered_total", "Sessions rehydrated from the durable event log."),
 	}
+	r.GaugeFunc("chkpt_sessions_open", "Live advisor sessions.", func() int64 {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return int64(len(st.byID))
+	})
+	return st
 }
 
 // reapLocked evicts one expired session: it drops the map entry and
@@ -108,7 +108,7 @@ func newSessionStore(ttl time.Duration, capacity int, log store.SessionLog, cloc
 // backing log is failing. Callers hold st.mu.
 func (st *sessionStore) reapLocked(ctx context.Context, id string) {
 	delete(st.byID, id)
-	st.evicted++
+	st.evicted.Inc()
 	_ = st.log.Tombstone(ctx, id)
 }
 
@@ -132,7 +132,7 @@ func (st *sessionStore) full(ctx context.Context) bool {
 		st.sweepLocked(ctx, st.now())
 	}
 	if len(st.byID) >= st.cap {
-		st.rejected++
+		st.rejected.Inc()
 		return true
 	}
 	return false
@@ -158,7 +158,7 @@ func (st *sessionStore) create(ctx context.Context, id, name, specHash string, s
 		st.sweepLocked(ctx, now)
 	}
 	if len(st.byID) >= st.cap {
-		st.rejected++
+		st.rejected.Inc()
 		return nil, time.Time{}, false, errSessionsFull
 	}
 	if id == "" {
@@ -176,7 +176,7 @@ func (st *sessionStore) create(ctx context.Context, id, name, specHash string, s
 		specHash: specHash,
 	}
 	st.byID[ls.id] = ls
-	st.created++
+	st.created.Inc()
 	return ls, ls.expires, false, nil
 }
 
@@ -221,7 +221,7 @@ func (st *sessionStore) adopt(ctx context.Context, id, name, specHash string, se
 		st.sweepLocked(ctx, now)
 	}
 	if len(st.byID) >= st.cap {
-		st.rejected++
+		st.rejected.Inc()
 		return nil, time.Time{}, errSessionsFull
 	}
 	ls := &liveSession{
@@ -232,7 +232,7 @@ func (st *sessionStore) adopt(ctx context.Context, id, name, specHash string, se
 		specHash: specHash,
 	}
 	st.byID[id] = ls
-	st.recovered++
+	st.recovered.Inc()
 	return ls, ls.expires, nil
 }
 
@@ -263,16 +263,4 @@ func (st *sessionStore) drop(id string) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	delete(st.byID, id)
-}
-
-func (st *sessionStore) stats() sessionStats {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return sessionStats{
-		open:      len(st.byID),
-		created:   st.created,
-		evicted:   st.evicted,
-		rejected:  st.rejected,
-		recovered: st.recovered,
-	}
 }

@@ -160,7 +160,7 @@ func (s *Server) materializeJob(ctx context.Context, es *spec.ExperimentSpec, ha
 		j.completed++
 	}
 	if j.completed > 0 {
-		s.met.sweepCellsRestore(uint64(j.completed))
+		s.met.sweepCellsRestored.Add(uint64(j.completed))
 	}
 	return j, nil
 }
@@ -193,27 +193,20 @@ func (s *Server) runSweepJob(j *sweepJob) {
 	j.wakeLocked()
 }
 
-// runSweepCells computes the job's missing suffix. Over a lease-capable
-// store the work is claimed cell-range-by-cell-range: acquire the job's
-// claim, compute up to sweepClaimCells cells — each written through
-// PutLeased under the claim's fencing token, with a renewal every
-// sweepRenewEvery cells — then release and re-probe. Finding the claim held
-// (ErrLeaseHeld) or losing it mid-range (ErrLeaseStale) means another
-// replica is working the job: this replica backs off, re-syncs its
-// watermark from the store and falls in line. Completed cells therefore
-// stay a prefix with zero re-runs fleet-wide.
+// runSweepCells computes the job's missing suffix. The work is claimed
+// cell-range-by-cell-range: acquire the job's claim, compute up to
+// sweepClaimCells cells — each written through PutLeased under the
+// claim's fencing token, with a renewal every sweepRenewEvery cells —
+// then release and re-probe. Finding the claim held (ErrLeaseHeld) or
+// losing it mid-range (ErrLeaseStale) means another replica is working
+// the job: this replica backs off, re-syncs its watermark from the
+// store and falls in line. Completed cells therefore stay a prefix with
+// zero re-runs fleet-wide.
 func (s *Server) runSweepCells(j *sweepJob) error {
 	if err := s.adm.acquire(s.jobsCtx); err != nil {
 		return err
 	}
 	defer s.adm.release()
-	ls, leased := s.st.(store.LeaseStore)
-	if !leased {
-		// A store without a lease face is a declared single-writer
-		// deployment: run the whole suffix unguarded.
-		completed, _, _ := j.snapshot()
-		return s.computeCells(j, completed, len(j.cells), nil, store.Lease{})
-	}
 	key := sweepLeasePrefix + j.id
 	for {
 		if err := s.syncWatermark(j); err != nil {
@@ -223,7 +216,7 @@ func (s *Server) runSweepCells(j *sweepJob) error {
 		if completed == len(j.cells) {
 			return nil
 		}
-		lease, err := ls.AcquireLease(s.jobsCtx, key, s.replicaID, s.sweepLeaseTTL)
+		lease, err := s.st.AcquireLease(s.jobsCtx, key, s.replicaID, s.sweepLeaseTTL)
 		if errors.Is(err, store.ErrLeaseHeld) {
 			if err := sleepCtx(s.jobsCtx, s.sweepRetryDelay); err != nil {
 				return err
@@ -236,13 +229,13 @@ func (s *Server) runSweepCells(j *sweepJob) error {
 		// Holding the claim freezes the watermark (no other replica can
 		// pass the fence), so re-sync once more and the range is exact.
 		if err := s.syncWatermark(j); err != nil {
-			_ = ls.ReleaseLease(s.jobsCtx, lease)
+			_ = s.st.ReleaseLease(s.jobsCtx, lease)
 			return err
 		}
 		completed, _, _ = j.snapshot()
 		end := min(completed+s.sweepClaimCells, len(j.cells))
-		err = s.computeCells(j, completed, end, ls, lease)
-		_ = ls.ReleaseLease(s.jobsCtx, lease)
+		err = s.computeCells(j, completed, end, lease)
+		_ = s.st.ReleaseLease(s.jobsCtx, lease)
 		if errors.Is(err, store.ErrLeaseStale) {
 			// Fenced off: a reclaiming replica owns the job now. Nothing
 			// this replica wrote past the fence landed; re-probe and follow.
@@ -255,11 +248,11 @@ func (s *Server) runSweepCells(j *sweepJob) error {
 }
 
 // computeCells runs cells [from, end) in expansion order, persisting
-// each durably before advancing the watermark. With a lease (ls
-// non-nil) every write is fenced by the claim's token and the claim is
-// renewed every sweepRenewEvery cells, so a replica that keeps making
-// progress keeps its claim without paying a journal append per cell.
-func (s *Server) computeCells(j *sweepJob, from, end int, ls store.LeaseStore, lease store.Lease) error {
+// each durably before advancing the watermark. Every write is fenced by
+// the claim's token and the claim is renewed every sweepRenewEvery
+// cells, so a replica that keeps making progress keeps its claim
+// without paying a journal append per cell.
+func (s *Server) computeCells(j *sweepJob, from, end int, lease store.Lease) error {
 	for res, err := range spec.RunCells(s.jobsCtx, s.eng, j.cells[from:end]) {
 		if err != nil {
 			return err
@@ -274,21 +267,16 @@ func (s *Server) computeCells(j *sweepJob, from, end int, ls store.LeaseStore, l
 		if err != nil {
 			return err
 		}
-		if ls != nil {
-			err = ls.PutLeased(s.jobsCtx, lease, j.keys[res.Index], b)
-		} else {
-			err = s.st.Put(s.jobsCtx, j.keys[res.Index], b)
-		}
-		if err != nil {
+		if err := s.st.PutLeased(s.jobsCtx, lease, j.keys[res.Index], b); err != nil {
 			return err
 		}
-		s.met.sweepCellCompute()
+		s.met.sweepCellsComputed.Inc()
 		j.mu.Lock()
 		j.completed = res.Index + 1
 		j.wakeLocked()
 		j.mu.Unlock()
-		if ls != nil && (res.Index+1-from)%sweepRenewEvery == 0 {
-			if err := ls.RenewLease(s.jobsCtx, lease, s.sweepLeaseTTL); err != nil {
+		if (res.Index+1-from)%sweepRenewEvery == 0 {
+			if err := s.st.RenewLease(s.jobsCtx, lease, s.sweepLeaseTTL); err != nil {
 				return err
 			}
 		}
@@ -316,7 +304,7 @@ func (s *Server) syncWatermark(j *sweepJob) error {
 	if n == 0 {
 		return nil
 	}
-	s.met.sweepCellsRestore(uint64(n))
+	s.met.sweepCellsRestored.Add(uint64(n))
 	j.mu.Lock()
 	if completed+n > j.completed {
 		j.completed = completed + n
@@ -366,7 +354,7 @@ func (s *Server) getJob(ctx context.Context, id string) (*sweepJob, error) {
 		return nil, err
 	}
 	s.sweeps.jobs[id] = j
-	s.met.sweepJobResume()
+	s.met.sweepJobsResumed.Inc()
 	return j, nil
 }
 
@@ -424,9 +412,9 @@ func (s *Server) handleSweepJobCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		s.sweeps.jobs[hash] = j
 		if resumed {
-			s.met.sweepJobResume()
+			s.met.sweepJobsResumed.Inc()
 		} else {
-			s.met.sweepJobCreate()
+			s.met.sweepJobsCreated.Inc()
 		}
 	}
 	s.sweeps.mu.Unlock()

@@ -115,13 +115,13 @@ func (cs CandidatesSpec) Build(ctx context.Context, eng *engine.Engine, sc harne
 			if err := std.PeriodLB.validate(); err != nil {
 				return nil, err
 			}
-			period, err := harness.SearchPeriodLBWith(ctx, eng, sc, std.PeriodLB.Config())
+			period, err := harness.SearchPeriodLB(ctx, eng, sc, std.PeriodLB.Config())
 			if err != nil {
 				return nil, fmt.Errorf("spec: scenario %q: PeriodLB search: %w", sc.Name, err)
 			}
 			cfg.PeriodLBPeriod = period
 		}
-		cands, err := harness.StandardCandidatesWith(ctx, eng, sc, cfg)
+		cands, err := harness.StandardCandidates(ctx, eng, sc, cfg)
 		if err != nil {
 			return nil, err
 		}

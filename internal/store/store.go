@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/advisor"
 	"repro/internal/spec"
@@ -71,11 +72,41 @@ type ResultStore interface {
 	Get(ctx context.Context, key string) (val []byte, ok bool, err error)
 }
 
-// Store is the full persistence layer the service mounts: both faces
-// plus lifecycle and counters.
+// Store is the full persistence layer the service mounts: both faces,
+// the lease face, lifecycle and counters.
+//
+// The lease face is how a worker fleet coordinates ownership of work
+// items (sweep-job cells) instead of one process owning the run. The
+// contract, uniform across MemStore, FileStore and RemoteStore:
+//
+//   - AcquireLease grants the key's lease for ttl. A live lease by
+//     another owner answers ErrLeaseHeld. Re-acquiring one's own live
+//     lease extends it and returns the same token (acquire is
+//     owner-idempotent, hence safe to retry over a lossy wire). An
+//     expired or released lease is reclaimed: the token increments and
+//     the new owner proceeds — the increment is what fences the
+//     previous holder's writes.
+//   - RenewLease extends the lease's expiry while its token is still
+//     current. A token the store has moved past answers ErrLeaseStale.
+//     Renewal revives an expired-but-not-yet-reclaimed lease: expiry
+//     alone is not the fencing criterion, losing the token is.
+//   - ReleaseLease ends the lease early so the next acquirer does not
+//     wait out the ttl. Releasing with a stale token answers
+//     ErrLeaseStale; the release is then moot (someone else owns it).
+//   - PutLeased writes through the ResultStore under the lease's
+//     fence: the write happens only if l.Token is still the key's
+//     current token, else ErrLeaseStale and no write. An expired lease
+//     whose token was never reclaimed still writes — see above.
+//
+// TTLs are measured on the store's clock, not the client's, so
+// replicas with skewed clocks still agree on expiry.
 type Store interface {
 	SessionLog
 	ResultStore
+	AcquireLease(ctx context.Context, key, owner string, ttl time.Duration) (Lease, error)
+	RenewLease(ctx context.Context, l Lease, ttl time.Duration) error
+	ReleaseLease(ctx context.Context, l Lease) error
+	PutLeased(ctx context.Context, l Lease, key string, val []byte) error
 	// Stats snapshots the store's operation counters.
 	Stats() Stats
 	// Close releases the backend. Further operations answer ErrClosed.
@@ -93,7 +124,7 @@ type Stats struct {
 	// Puts and Gets count result-store writes and lookups (hits and
 	// misses both count as a Get).
 	Puts, Gets uint64
-	// Lease-face counters (see LeaseStore). Acquired counts granted
+	// Lease-face counters (see Store). Acquired counts granted
 	// acquires (including reclaims and idempotent holder re-acquires);
 	// Reclaimed the subset that took over an expired lease; Stale every
 	// fencing rejection (ErrLeaseStale) across renew/release/PutLeased.

@@ -1,8 +1,8 @@
 // Package storetest exports the backend-agnostic conformance suite for
-// the store.LeaseStore contract. MemStore, FileStore and the cluster
-// RemoteStore all run the identical suite, so "lease" means exactly one
-// thing no matter which backend a replica mounts — the property the
-// sweep-claim runner and the fencing design rest on.
+// the lease face of the store.Store contract. MemStore, FileStore and
+// the cluster RemoteStore all run the identical suite, so "lease" means
+// exactly one thing no matter which backend a replica mounts — the
+// property the sweep-claim runner and the fencing design rest on.
 package storetest
 
 import (
@@ -15,19 +15,12 @@ import (
 	"repro/internal/store"
 )
 
-// LeasedStore is a full store that also exposes the lease face — what
-// the cluster-aware service mounts.
-type LeasedStore interface {
-	store.Store
-	store.LeaseStore
-}
-
 // Harness is one backend under test. Clock must be the same clock the
 // backend measures lease expiry on (for a RemoteStore, the clock of
 // the store server's backend), so the suite expires leases by
 // advancing it instead of sleeping.
 type Harness struct {
-	Store LeasedStore
+	Store store.Store
 	Clock *obs.FakeClock
 }
 
@@ -72,7 +65,7 @@ func RunLeaseSuite(t *testing.T, open func(t *testing.T) Harness) {
 
 func ctxb() context.Context { return context.Background() }
 
-func mustAcquire(t *testing.T, s store.LeaseStore, key, owner string) store.Lease {
+func mustAcquire(t *testing.T, s store.Store, key, owner string) store.Lease {
 	t.Helper()
 	l, err := s.AcquireLease(ctxb(), key, owner, ttl)
 	if err != nil {
